@@ -33,6 +33,12 @@ import (
 )
 
 func main() {
+	// Install the drain handler before anything can announce the daemon:
+	// a SIGTERM that arrives the moment a client sees the listen line or
+	// /readyz must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+
 	var (
 		listen          = flag.String("listen", "127.0.0.1:8080", "TCP address to serve the HTTP API on")
 		state           = flag.String("state", "streamkmd-state", "state directory (sessions, checkpoints, WALs)")
@@ -85,8 +91,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
 		logger.Printf("received %v, draining", sig)

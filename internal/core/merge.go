@@ -52,7 +52,9 @@ type MergeConfig struct {
 	Seeder kmeans.Seeder
 	// Mode selects collective (default, paper) or incremental merging.
 	Mode MergeMode
-	// Accelerate selects Hamerly's bound-based Lloyd iteration.
+	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config):
+	// incremental cluster sums and a stop at the assignment fixpoint.
+	// Both iterations skip the distance work their bounds rule out.
 	Accelerate bool
 	// Workers, when >= 2, shards each merge Lloyd iteration's assignment
 	// sweep across that many goroutines. Deterministic per worker count;

@@ -32,7 +32,9 @@ type PartialConfig struct {
 	// Seeder overrides the initial-centroid strategy (nil = random, as
 	// in the paper).
 	Seeder kmeans.Seeder
-	// Accelerate selects Hamerly's bound-based Lloyd iteration.
+	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config):
+	// incremental cluster sums and a stop at the assignment fixpoint.
+	// Both iterations skip the distance work their bounds rule out.
 	Accelerate bool
 	// Workers, when >= 2, fans the Restarts runs across that many
 	// goroutines (§3.4's option 2 applied inside one partial operator).

@@ -50,8 +50,10 @@ type Options struct {
 	// QueueCapacity sizes the inter-operator queues in ClusterParallel
 	// (<=0 selects the stream default).
 	QueueCapacity int
-	// Accelerate selects Hamerly's bound-based Lloyd iteration in both
-	// the partial and merge steps.
+	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config) in
+	// both the partial and merge steps: incremental cluster sums and a
+	// stop at the assignment fixpoint. Both iterations skip the distance
+	// work their bounds rule out.
 	Accelerate bool
 	// Workers, when >= 2, fans each partial operator's Restarts across
 	// that many goroutines. Orthogonal to Parallelism (operator clones):

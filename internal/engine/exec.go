@@ -404,7 +404,7 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 				return merger.sink(ctx, p)
 			}, partQ, (*stream.Queue[struct{}])(nil))
 		if e.reopt != nil {
-			e.runReoptMonitor(g, gctx, st, chunkQ, len(remaining), start, &events)
+			e.runReoptMonitor(g, gctx, st, chunkQ, start, &events)
 		}
 
 		// The watchdog runs as a sidecar, not a group member: it must

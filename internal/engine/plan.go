@@ -34,8 +34,9 @@ type Query struct {
 	MergeMode core.MergeMode
 	// Seed derives all randomness.
 	Seed uint64
-	// Accelerate selects Hamerly's bound-based Lloyd in both operator
-	// kinds.
+	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config) in
+	// both operator kinds: incremental cluster sums and a stop at the
+	// assignment fixpoint.
 	Accelerate bool
 	// Workers, when >= 2, fans each partial operator's Restarts across
 	// that many goroutines (§3.4 option 2, inside one operator).

@@ -63,14 +63,10 @@ func (e ReoptEvent) String() string {
 }
 
 // runReoptMonitor starts the re-optimizer on the plan's group: it
-// samples the chunk queue until this attempt's tasks drain, appending
-// scale-up decisions to events. Restart-safe: the stage's processed
-// counter aggregates across attempts, so progress is measured as a
-// delta from this attempt's start against the attempt's own task
-// count.
-func (e *Exec) runReoptMonitor(g *stream.Group, gctx context.Context, st *stream.Stage[chunkTask, partialOut], chunkQ *stream.Queue[chunkTask], total int, start time.Time, events *[]ReoptEvent) {
+// samples the chunk queue until the partial stage finishes (st.Done)
+// or the attempt is cancelled, appending scale-up decisions to events.
+func (e *Exec) runReoptMonitor(g *stream.Group, gctx context.Context, st *stream.Stage[chunkTask, partialOut], chunkQ *stream.Queue[chunkTask], start time.Time, events *[]ReoptEvent) {
 	policy := e.reopt.withDefaults()
-	processedStart := st.Stats().Processed()
 	g.Go("reoptimizer", func() error {
 		congested := 0
 		ticker := time.NewTicker(policy.SampleInterval)
@@ -79,10 +75,9 @@ func (e *Exec) runReoptMonitor(g *stream.Group, gctx context.Context, st *stream
 			select {
 			case <-gctx.Done():
 				return nil
-			case <-ticker.C:
-			}
-			if st.Stats().Processed()-processedStart >= int64(total) {
+			case <-st.Done():
 				return nil
+			case <-ticker.C:
 			}
 			// High-water depth since the last sample, not instantaneous
 			// Len: the monitor tends to get scheduled exactly when the

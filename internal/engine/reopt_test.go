@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamkm/internal/grid"
+	"streamkm/internal/stream"
 )
 
 func TestExecuteAdaptiveMatchesExecute(t *testing.T) {
@@ -98,5 +99,39 @@ func TestExecuteAdaptiveValidation(t *testing.T) {
 	if _, _, _, err := ExecuteAdaptive(context.Background(), nil,
 		Query{K: 2, Restarts: 1}, PhysicalPlan{ChunkPoints: 10}, ReoptPolicy{}); err == nil {
 		t.Fatal("no cells should error")
+	}
+}
+
+// TestReoptMonitorEndsOnDrainedStage starts the monitor against a
+// partial stage that has already drained its input. The monitor must
+// end on the stage's own completion, so the group's Wait returns even
+// when every item was processed before the monitor started.
+func TestReoptMonitorEndsOnDrainedStage(t *testing.T) {
+	g, gctx := stream.NewGroup(context.Background())
+	chunkQ := stream.NewQueue[chunkTask]("chunks", 2)
+	partQ := stream.NewQueue[partialOut]("partials", 2)
+	st := stream.RunStage(g, gctx, nil, stream.StageConfig[chunkTask]{Name: "partial-kmeans"},
+		func(context.Context, chunkTask, stream.Emit[partialOut]) error { return nil }, chunkQ, partQ)
+	if err := chunkQ.Put(gctx, chunkTask{}); err != nil {
+		t.Fatal(err)
+	}
+	chunkQ.Close()
+	<-st.Done()
+
+	e := &Exec{reopt: &ReoptPolicy{SampleInterval: time.Millisecond, MaxClones: 4}}
+	var events []ReoptEvent
+	e.runReoptMonitor(g, gctx, st, chunkQ, time.Now(), &events)
+	done := make(chan error, 1)
+	go func() { done <- g.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reopt monitor outlived its drained stage")
+	}
+	if len(events) != 0 {
+		t.Fatalf("monitor scaled a finished stage: %v", events)
 	}
 }

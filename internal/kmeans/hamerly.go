@@ -54,6 +54,7 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 				row[t] += w * xv
 			}
 		}
+		sc.evals += int64(n * k)
 	}
 	initialize()
 
@@ -64,12 +65,14 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 		// Update centroids from the incrementally maintained sums.
 		empties := false
 		maxMove := 0.0
+		evals := 0
 		for j := 0; j < k; j++ {
 			if sc.weights[j] == 0 {
 				empties = true
 				sc.move[j] = 0
 				continue
 			}
+			evals++
 			row := cent[j*dim : (j+1)*dim]
 			copy(sc.oldCent, row)
 			srow := sc.sums[j*dim : (j+1)*dim]
@@ -82,6 +85,7 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 			}
 		}
 		if empties && cfg.EmptyPolicy == ReseedFarthest {
+			sc.evals += int64(evals)
 			// One exact pass refreshes the distance cache; each empty
 			// cluster then repairs from it without rescanning.
 			sc.exactDistances(data)
@@ -114,6 +118,7 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 			}
 			sc.halfMin[j] = min / 2
 		}
+		evals += k * (k - 1)
 
 		// Assignment with bound-based skipping.
 		changes := 0
@@ -129,10 +134,12 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 			off := i * dim
 			x := data[off : off+dim : off+dim]
 			sc.upper[i] = math.Sqrt(vector.SquaredDistanceFloats(x, cent[a*dim:(a+1)*dim])) // tighten
+			evals++
 			if sc.upper[i] <= m {
 				continue // tightened skip, one distance computed
 			}
 			best, bd, sd := nearestTwoFlat(x, cent, k, dim)
+			evals += k
 			sc.lower[i] = sd
 			sc.upper[i] = bd
 			if best != a {
@@ -151,6 +158,7 @@ func runHamerly(points *dataset.WeightedSet, centroids []vector.Vector, cfg Conf
 				}
 			}
 		}
+		sc.evals += int64(evals)
 		if changes == 0 && maxMove == 0 {
 			res.Converged = true
 			break

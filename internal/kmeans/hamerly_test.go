@@ -167,9 +167,13 @@ func benchLloyd(b *testing.B, accelerate bool) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var evals int64
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFromCentroids(s, seeds, Config{K: 40, Accelerate: accelerate}); err != nil {
+		res, err := RunFromCentroids(s, seeds, Config{K: 40, Accelerate: accelerate})
+		if err != nil {
 			b.Fatal(err)
 		}
+		evals += res.DistanceEvals
 	}
+	b.ReportMetric(float64(evals)/float64(b.N), "dist-evals/op")
 }

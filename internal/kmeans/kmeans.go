@@ -53,11 +53,14 @@ type Config struct {
 	Seeder Seeder
 	// EmptyPolicy selects the empty-cluster repair.
 	EmptyPolicy EmptyClusterPolicy
-	// Accelerate selects Hamerly's bound-based Lloyd iteration (§2's
-	// "improvements for step 2"): identical fixpoints, far fewer
-	// distance computations for large k. The accelerated path runs to
-	// the assignment fixpoint, at which the ΔMSE criterion holds
-	// trivially, so Epsilon is ignored.
+	// Accelerate selects Hamerly's Lloyd iteration. Both iterations use
+	// §2's "improvements for step 2" to skip distance work: the default
+	// one skips only the centroid scans that provably cannot change an
+	// assignment, so it returns exactly the full-scan answer (bounds.go).
+	// Hamerly's differs in two ways: it updates cluster sums
+	// incrementally, and it runs to the assignment fixpoint, where the
+	// ΔMSE criterion holds trivially, so Epsilon is ignored. It reaches
+	// the same fixpoints up to floating-point summation order.
 	Accelerate bool
 	// Workers, when >= 2, shards each naive Lloyd iteration's
 	// assignment pass across that many goroutines (§3.4's option 3:
@@ -192,6 +195,12 @@ type Result struct {
 	// accelerated path, which iterates to the assignment fixpoint where
 	// the criterion holds trivially.
 	DeltaMSE float64
+	// DistanceEvals counts the distances the iteration computed,
+	// point-to-centroid and centroid-to-centroid alike, including the
+	// final consistent pass but not the seeding — the machine-independent
+	// cost measure of Capó et al. (PAPERS.md). It depends only on the
+	// input, so it is identical across worker counts.
+	DistanceEvals int64
 }
 
 // WeightedCentroids packages the result as the partial operator's output:
@@ -358,6 +367,8 @@ type RestartResult struct {
 	// Converged counts the runs that met the ΔMSE criterion before
 	// MaxIterations.
 	Converged int
+	// DistanceEvals sums every run's Result.DistanceEvals.
+	DistanceEvals int64
 }
 
 // RunRestarts executes R independent k-means runs with different seed
@@ -449,6 +460,7 @@ func RunRestarts(points *dataset.WeightedSet, cfg Config, restarts int, r *rng.R
 		res := results[run]
 		out.MSEs = append(out.MSEs, res.MSE)
 		out.TotalIterations += res.Iterations
+		out.DistanceEvals += res.DistanceEvals
 		if res.Converged {
 			out.Converged++
 		}

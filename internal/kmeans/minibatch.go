@@ -126,11 +126,11 @@ func (sc *scratch) ensureMiniBatch() {
 // center, grow that center's mass by the row's weight, and move the
 // center toward the row by eta = w / mass (Sculley's per-center
 // learning rate, weighted). Zero-weight rows carry no mass and are
-// skipped.
-func (sc *scratch) miniBatchStep(data, wts []float64, i int) {
+// skipped. It reports whether the row was applied.
+func (sc *scratch) miniBatchStep(data, wts []float64, i int) bool {
 	w := wts[i]
 	if w == 0 {
-		return
+		return false
 	}
 	dim := sc.dim
 	off := i * dim
@@ -142,19 +142,28 @@ func (sc *scratch) miniBatchStep(data, wts []float64, i int) {
 	for d, xv := range x {
 		row[d] += eta * (xv - row[d])
 	}
+	return true
 }
 
 // miniBatchRows applies one gradient batch over the given rows in order.
 func (sc *scratch) miniBatchRows(data, wts []float64, rows []int) {
+	applied := 0
 	for _, i := range rows {
-		sc.miniBatchStep(data, wts, i)
+		if sc.miniBatchStep(data, wts, i) {
+			applied++
+		}
 	}
+	sc.evals += int64(applied * sc.k)
 }
 
 // miniBatchSample draws one batch of b rows with replacement from the
 // sampling stream and applies it.
 func (sc *scratch) miniBatchSample(data, wts []float64, b int, r *rng.RNG) {
+	applied := 0
 	for s := 0; s < b; s++ {
-		sc.miniBatchStep(data, wts, r.Intn(sc.n))
+		if sc.miniBatchStep(data, wts, r.Intn(sc.n)) {
+			applied++
+		}
 	}
+	sc.evals += int64(applied * sc.k)
 }

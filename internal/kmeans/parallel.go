@@ -2,8 +2,6 @@ package kmeans
 
 import (
 	"sync"
-
-	"streamkm/internal/vector"
 )
 
 // This file implements §3.4's third parallelization option: breaking the
@@ -24,6 +22,7 @@ type assignShard struct {
 	weights []float64
 	sums    []float64 // k*dim, flat
 	sse     float64
+	evals   int64
 }
 
 // assignPool is a persistent pool of assignment workers. Sweep inputs
@@ -37,10 +36,10 @@ type assignPool struct {
 	wg           sync.WaitGroup
 	quit         chan struct{}
 
-	// per-sweep inputs
-	data, wts, cent []float64
-	assign          []int
-	dists           []float64
+	// per-sweep inputs: the scratch whose per-point step the workers
+	// run, and the points
+	sc        *scratch
+	data, wts []float64
 }
 
 func newAssignPool(w, n, k, dim int) *assignPool {
@@ -75,6 +74,7 @@ func (p *assignPool) worker(s int) {
 		case <-p.start[s]:
 		}
 		sh := &p.shards[s]
+		sc := p.sc
 		k, dim := p.k, p.dim
 		for j := 0; j < k; j++ {
 			sh.counts[j] = 0
@@ -82,12 +82,14 @@ func (p *assignPool) worker(s int) {
 		}
 		zeroFloats(sh.sums)
 		sh.sse = 0
+		sh.evals = 0
 		for i := lo; i < hi; i++ {
 			off := i * dim
 			x := p.data[off : off+dim : off+dim]
-			j, d := vector.NearestIndexFlat(x, p.cent, k, dim)
-			p.assign[i] = j
-			p.dists[i] = d
+			j, d, e := sc.nearest(i, x)
+			sh.evals += int64(e)
+			sc.assign[i] = j
+			sc.dists[i] = d
 			w := p.wts[i]
 			sh.counts[j]++
 			sh.weights[j] += w
@@ -101,10 +103,10 @@ func (p *assignPool) worker(s int) {
 	}
 }
 
-// sweep runs one sharded assignment pass and blocks until every worker
-// has filled its shard.
-func (p *assignPool) sweep(data, wts, cent []float64, assign []int, dists []float64) {
-	p.data, p.wts, p.cent, p.assign, p.dists = data, wts, cent, assign, dists
+// sweep runs one sharded assignment pass of sc's per-point step and
+// blocks until every worker has filled its shard.
+func (p *assignPool) sweep(sc *scratch, data, wts []float64) {
+	p.sc, p.data, p.wts = sc, data, wts
 	p.wg.Add(p.w)
 	for s := 0; s < p.w; s++ {
 		p.start[s] <- struct{}{}

@@ -6,7 +6,7 @@ import (
 
 // scratch owns every mutable buffer a Lloyd run needs, so steady-state
 // iterations allocate nothing: assignments, the per-point distance cache,
-// per-cluster statistics, the flat centroid matrix, Hamerly's bounds, and
+// per-cluster statistics, the flat centroid matrix, the sweep bounds, and
 // (when assignment sharding is on) the persistent worker pool. One
 // scratch serves one run at a time; RunRestarts gives each restart worker
 // its own and reuses it across that worker's runs. A run's Result copies
@@ -24,10 +24,27 @@ type scratch struct {
 	sums    []float64 // k*dim, flat
 	cent    []float64 // k*dim, flat centroid matrix
 
-	// Hamerly bound state, allocated on first accelerated run.
+	// Bound state shared by the bounded sweep (bounds.go) and Hamerly's
+	// iteration: lower[i] bounds the distance from point i to every
+	// centroid other than assign[i], halfMin[j] is half the distance
+	// from centroid j to its nearest other centroid.
+	lower   []float64 // n
+	halfMin []float64 // k
+	// Bounded-sweep state: swept is the centroid matrix the bounds
+	// describe, boundsValid says they describe it, mode is the current
+	// sweep's strategy, and moveMax/moveNext are the largest and
+	// second-largest inflated centroid moves since the last sweep
+	// (moveArg is the index of the largest).
+	swept             []float64 // k*dim
+	boundsValid       bool
+	mode              sweepMode
+	moveMax, moveNext float64
+	moveArg           int
+	// evals counts the run's distance evaluations (Result.DistanceEvals).
+	evals int64
+
+	// Hamerly-only state, allocated on first accelerated run.
 	upper   []float64
-	lower   []float64
-	halfMin []float64
 	move    []float64
 	oldCent []float64 // dim
 
@@ -43,28 +60,38 @@ type scratch struct {
 }
 
 func newScratch(n, k, dim int) *scratch {
+	// One slab backs every float buffer and one every int buffer: the
+	// serving path builds a scratch per short run, so allocations count.
+	fs := make([]float64, 2*n+2*k+3*k*dim)
+	take := func(m int) []float64 {
+		b := fs[:m:m]
+		fs = fs[m:]
+		return b
+	}
+	is := make([]int, n+k)
 	return &scratch{
 		n:       n,
 		k:       k,
 		dim:     dim,
-		assign:  make([]int, n),
-		dists:   make([]float64, n),
-		counts:  make([]int, k),
-		weights: make([]float64, k),
-		sums:    make([]float64, k*dim),
-		cent:    make([]float64, k*dim),
+		assign:  is[:n:n],
+		counts:  is[n:],
+		dists:   take(n),
+		lower:   take(n),
+		weights: take(k),
+		halfMin: take(k),
+		sums:    take(k * dim),
+		cent:    take(k * dim),
+		swept:   take(k * dim),
 	}
 }
 
-// ensureHamerly allocates the bound buffers used only by the accelerated
+// ensureHamerly allocates the buffers used only by the accelerated
 // iteration.
 func (sc *scratch) ensureHamerly() {
 	if sc.upper != nil {
 		return
 	}
 	sc.upper = make([]float64, sc.n)
-	sc.lower = make([]float64, sc.n)
-	sc.halfMin = make([]float64, sc.k)
 	sc.move = make([]float64, sc.k)
 	sc.oldCent = make([]float64, sc.dim)
 }
@@ -84,11 +111,14 @@ func zeroFloats(s []float64) {
 	}
 }
 
-// loadCentroids copies the seed centroids into the flat matrix.
+// loadCentroids copies the seed centroids into the flat matrix and
+// starts a run: no valid bounds, no distance evaluations yet.
 func (sc *scratch) loadCentroids(centroids []vector.Vector) {
 	for j, c := range centroids {
 		copy(sc.cent[j*sc.dim:(j+1)*sc.dim], c)
 	}
+	sc.boundsValid = false
+	sc.evals = 0
 }
 
 // assignSerial runs one exact assignment sweep: nearest centroid, cached
@@ -97,6 +127,7 @@ func (sc *scratch) loadCentroids(centroids []vector.Vector) {
 // component for component, so results are bit-identical to it.
 func (sc *scratch) assignSerial(data, wts []float64) float64 {
 	k, dim, n := sc.k, sc.dim, sc.n
+	evals := sc.beginSweep()
 	for j := 0; j < k; j++ {
 		sc.counts[j] = 0
 		sc.weights[j] = 0
@@ -106,7 +137,8 @@ func (sc *scratch) assignSerial(data, wts []float64) float64 {
 	for i := 0; i < n; i++ {
 		off := i * dim
 		x := data[off : off+dim : off+dim]
-		j, d := vector.NearestIndexFlat(x, sc.cent, k, dim)
+		j, d, e := sc.nearest(i, x)
+		evals += int64(e)
 		sc.assign[i] = j
 		sc.dists[i] = d
 		w := wts[i]
@@ -118,6 +150,7 @@ func (sc *scratch) assignSerial(data, wts []float64) float64 {
 		}
 		sse += d * w
 	}
+	sc.endSweep(evals)
 	return sse
 }
 
@@ -136,7 +169,8 @@ func (sc *scratch) assignParallel(data, wts []float64, workers int) float64 {
 		}
 		sc.pool = newAssignPool(w, sc.n, sc.k, sc.dim)
 	}
-	sc.pool.sweep(data, wts, sc.cent, sc.assign, sc.dists)
+	evals := sc.beginSweep()
+	sc.pool.sweep(sc, data, wts)
 
 	k, dim := sc.k, sc.dim
 	for j := 0; j < k; j++ {
@@ -157,7 +191,9 @@ func (sc *scratch) assignParallel(data, wts []float64, workers int) float64 {
 			}
 		}
 		sse += sh.sse
+		evals += sh.evals
 	}
+	sc.endSweep(evals)
 	return sse
 }
 
@@ -170,6 +206,7 @@ func (sc *scratch) exactDistances(data []float64) {
 		off := i * dim
 		sc.dists[i] = vector.SquaredDistanceFloats(data[off:off+dim], sc.cent[sc.assign[i]*dim:(sc.assign[i]+1)*dim])
 	}
+	sc.evals += int64(n)
 }
 
 // farthestCached returns the index of the point with the largest cached
@@ -210,6 +247,12 @@ func (sc *scratch) reseedEmpty(data, wts []float64, j int) {
 			sc.dists[i] = d
 		}
 	}
+	sc.evals += int64(sc.n)
+	// The next sweep scans every point. The bounds would survive the
+	// jump (beginSweep charges it as a move), but a jump that far voids
+	// nearly all of them, and a failed check costs one distance more
+	// than a plain scan.
+	sc.boundsValid = false
 }
 
 // finishResult runs the final consistent assignment against the final
@@ -218,6 +261,7 @@ func (sc *scratch) reseedEmpty(data, wts []float64, j int) {
 // Result survives scratch reuse by later runs.
 func (sc *scratch) finishResult(res *Result, data, wts []float64, totalWeight float64) {
 	k, dim, n := sc.k, sc.dim, sc.n
+	evals := sc.beginSweep()
 	for j := 0; j < k; j++ {
 		sc.counts[j] = 0
 		sc.weights[j] = 0
@@ -226,12 +270,14 @@ func (sc *scratch) finishResult(res *Result, data, wts []float64, totalWeight fl
 	for i := 0; i < n; i++ {
 		off := i * dim
 		x := data[off : off+dim : off+dim]
-		j, d := vector.NearestIndexFlat(x, sc.cent, k, dim)
+		j, d, e := sc.nearest(i, x)
+		evals += int64(e)
 		sc.assign[i] = j
 		sc.counts[j]++
 		sc.weights[j] += wts[i]
 		sse += d * wts[i]
 	}
+	sc.endSweep(evals)
 	centOut := make([]float64, k*dim)
 	copy(centOut, sc.cent)
 	cents := make([]vector.Vector, k)
@@ -244,4 +290,5 @@ func (sc *scratch) finishResult(res *Result, data, wts []float64, totalWeight fl
 	res.Weights = append([]float64(nil), sc.weights...)
 	res.SSE = sse
 	res.MSE = sse / totalWeight
+	res.DistanceEvals = sc.evals
 }

@@ -216,3 +216,18 @@ func TestDaemonVersionFlag(t *testing.T) {
 		t.Fatalf("unexpected -version output: %q", out)
 	}
 }
+
+// TestDaemonSIGTERMRightAfterAnnounce sends SIGTERM the moment the
+// listen line is read, before any request: the drain handler must
+// already be installed, so every run exits 0 instead of dying to the
+// default signal action.
+func TestDaemonSIGTERMRightAfterAnnounce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a subprocess")
+	}
+	bin := buildDaemon(t)
+	for i := 0; i < 20; i++ {
+		d := startDaemon(t, bin, t.TempDir())
+		d.sigterm(t)
+	}
+}

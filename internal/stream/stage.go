@@ -77,7 +77,8 @@ type Stage[I, O any] struct {
 	mu      sync.Mutex
 	initial int
 	clones  int
-	closed  bool // input exhausted; no further clones may be added
+	closed  bool          // input exhausted; no further clones may be added
+	done    chan struct{} // closed together with closed
 	live    sync.WaitGroup
 }
 
@@ -101,6 +102,7 @@ func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg S
 		beat:    cfg.Beat,
 		observe: cfg.Observe,
 		initial: initial,
+		done:    make(chan struct{}),
 	}
 	for i := 0; i < initial; i++ {
 		s.spawnLocked()
@@ -111,6 +113,7 @@ func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg S
 		s.live.Wait()
 		s.mu.Lock()
 		s.closed = true
+		close(s.done)
 		s.mu.Unlock()
 		if s.out != nil {
 			s.out.Close()
@@ -119,6 +122,11 @@ func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg S
 	})
 	return s
 }
+
+// Done returns a channel that is closed once the stage has finished:
+// its input is exhausted (or its context cancelled) and every replica
+// has returned. Sidecars watching the stage end on it.
+func (s *Stage[I, O]) Done() <-chan struct{} { return s.done }
 
 // Stats returns the stage's aggregate counters.
 func (s *Stage[I, O]) Stats() *OpStats { return s.stats }

@@ -343,16 +343,44 @@ func NearestTwoFlat(x []float64, flat []float64, k, dim int) (int, float64, floa
 	return best, bestD, secondD
 }
 
+// nearestTwoFlat3 and nearestTwoFlat6 unroll two rows per iteration
+// like the NearestIndexFlat kernels below: both rows' distances are
+// computed before either comparison, and the comparisons then run in
+// index order, so the result matches the one-row scan bit for bit.
 func nearestTwoFlat3(x, flat []float64, k int) (int, float64, float64) {
 	x0, x1, x2 := x[0], x[1], x[2]
 	best := 0
 	bestD := math.Inf(1)
 	secondD := math.Inf(1)
-	for j, off := 0, 0; j < k; j, off = j+1, off+3 {
-		row := flat[off : off+3 : off+3]
-		d0 := x0 - row[0]
-		d1 := x1 - row[1]
-		d2 := x2 - row[2]
+	j, off := 0, 0
+	for ; j+2 <= k; j, off = j+2, off+6 {
+		r := flat[off : off+6 : off+6]
+		a0 := x0 - r[0]
+		a1 := x1 - r[1]
+		a2 := x2 - r[2]
+		b0 := x0 - r[3]
+		b1 := x1 - r[4]
+		b2 := x2 - r[5]
+		sa := a0*a0 + a1*a1 + a2*a2
+		sb := b0*b0 + b1*b1 + b2*b2
+		if sa < bestD {
+			secondD = bestD
+			best, bestD = j, sa
+		} else if sa < secondD {
+			secondD = sa
+		}
+		if sb < bestD {
+			secondD = bestD
+			best, bestD = j+1, sb
+		} else if sb < secondD {
+			secondD = sb
+		}
+	}
+	if j < k {
+		r := flat[off : off+3 : off+3]
+		d0 := x0 - r[0]
+		d1 := x1 - r[1]
+		d2 := x2 - r[2]
 		if s := d0*d0 + d1*d1 + d2*d2; s < bestD {
 			secondD = bestD
 			best, bestD = j, s
@@ -369,14 +397,44 @@ func nearestTwoFlat6(x, flat []float64, k int) (int, float64, float64) {
 	best := 0
 	bestD := math.Inf(1)
 	secondD := math.Inf(1)
-	for j, off := 0, 0; j < k; j, off = j+1, off+6 {
-		row := flat[off : off+6 : off+6]
-		d0 := x0 - row[0]
-		d1 := x1 - row[1]
-		d2 := x2 - row[2]
-		d3 := x3 - row[3]
-		d4 := x4 - row[4]
-		d5 := x5 - row[5]
+	j, off := 0, 0
+	for ; j+2 <= k; j, off = j+2, off+12 {
+		r := flat[off : off+12 : off+12]
+		a0 := x0 - r[0]
+		a1 := x1 - r[1]
+		a2 := x2 - r[2]
+		a3 := x3 - r[3]
+		a4 := x4 - r[4]
+		a5 := x5 - r[5]
+		b0 := x0 - r[6]
+		b1 := x1 - r[7]
+		b2 := x2 - r[8]
+		b3 := x3 - r[9]
+		b4 := x4 - r[10]
+		b5 := x5 - r[11]
+		sa := a0*a0 + a1*a1 + a2*a2 + a3*a3 + a4*a4 + a5*a5
+		sb := b0*b0 + b1*b1 + b2*b2 + b3*b3 + b4*b4 + b5*b5
+		if sa < bestD {
+			secondD = bestD
+			best, bestD = j, sa
+		} else if sa < secondD {
+			secondD = sa
+		}
+		if sb < bestD {
+			secondD = bestD
+			best, bestD = j+1, sb
+		} else if sb < secondD {
+			secondD = sb
+		}
+	}
+	if j < k {
+		r := flat[off : off+6 : off+6]
+		d0 := x0 - r[0]
+		d1 := x1 - r[1]
+		d2 := x2 - r[2]
+		d3 := x3 - r[3]
+		d4 := x4 - r[4]
+		d5 := x5 - r[5]
 		if s := d0*d0 + d1*d1 + d2*d2 + d3*d3 + d4*d4 + d5*d5; s < bestD {
 			secondD = bestD
 			best, bestD = j, s

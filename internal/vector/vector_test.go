@@ -350,3 +350,49 @@ func BenchmarkNearestIndexFlat40x6(b *testing.B) {
 		NearestIndexFlat(x, flat, k, dim)
 	}
 }
+
+// TestNearestTwoFlatMatchesScan checks the unrolled kernels against the
+// one-row-at-a-time scan they replace, bit for bit, over odd and even
+// k, exact ties (a coarse integer grid) and non-finite rows.
+func TestNearestTwoFlatMatchesScan(t *testing.T) {
+	scan := func(x, flat []float64, k, dim int) (int, float64, float64) {
+		best, bestD, secondD := 0, math.Inf(1), math.Inf(1)
+		for j := 0; j < k; j++ {
+			if d := SquaredDistance(x, flat[j*dim:(j+1)*dim]); d < bestD {
+				secondD = bestD
+				best, bestD = j, d
+			} else if d < secondD {
+				secondD = d
+			}
+		}
+		return best, bestD, secondD
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e154, -1e154}
+	seed := uint64(1)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 33
+	}
+	for _, dim := range []int{2, 3, 5, 6, 8} {
+		for k := 1; k <= 9; k++ {
+			for trial := 0; trial < 200; trial++ {
+				flat := make([]float64, k*dim)
+				x := make([]float64, dim)
+				for _, s := range [][]float64{flat, x} {
+					for i := range s {
+						if r := next() % 64; r < 3 {
+							s[i] = specials[next()%uint64(len(specials))]
+						} else {
+							s[i] = float64(next()%4) - 1.5
+						}
+					}
+				}
+				wb, wd, ws := scan(x, flat, k, dim)
+				gb, gd, gs := NearestTwoFlat(x, flat, k, dim)
+				if gb != wb || math.Float64bits(gd) != math.Float64bits(wd) || math.Float64bits(gs) != math.Float64bits(ws) {
+					t.Fatalf("dim %d k %d: got (%d, %v, %v), want (%d, %v, %v)", dim, k, gb, gd, gs, wb, wd, ws)
+				}
+			}
+		}
+	}
+}

@@ -14,14 +14,23 @@
 # self-baselined at their current time, reported with speedup 1.00 and
 # "new": true, so the chain picks them up without manual edits.
 #
-# Usage: scripts/bench.sh [count] [out.json]
-#   count    runs per benchmark (default 3)
-#   out.json output report path (default BENCH_PR8.json)
+# Benchmarks that report a dist-evals/op metric (the Lloyd kernels) also
+# get a "dist_evals_op" field: an exact, machine-independent count of
+# distance evaluations per run.
+#
+# Usage: scripts/bench.sh count out.json
+#   count    runs per benchmark
+#   out.json output report path (required, so a bare run cannot
+#            overwrite a committed report)
 set -eu
 cd "$(dirname "$0")/.."
 
-COUNT="${1:-3}"
-OUT="${2:-BENCH_PR8.json}"
+if [ "$#" -ne 2 ]; then
+  echo "usage: scripts/bench.sh count out.json" >&2
+  exit 2
+fi
+COUNT="$1"
+OUT="$2"
 
 # Pick the baseline report: the newest committed BENCH_*.json that is
 # not the output file itself (version sort, so PR10 follows PR9).
@@ -67,6 +76,8 @@ BEGIN {
     sub(/^Benchmark/, "", name)
     ns = $3 + 0
     if (!(name in best) || ns < best[name]) best[name] = ns
+    for (f = 4; f < NF; f++)
+        if ($(f + 1) == "dist-evals/op") evals[name] = $f
 }
 END {
     n = split("LloydNaiveK40 LloydHamerlyK40 LloydParallel4Workers SeedScalableK40 CoresetTree5000to200 SnapshotCold SnapshotWarm MergeMiniBatch SquaredDistance6D NearestIndex40Centroids", order, " ")
@@ -76,15 +87,16 @@ END {
     for (i = 1; i <= n; i++) {
         name = order[i]
         if (!(name in best)) { missing = missing " " name; continue }
+        extra = (name in evals) ? sprintf(", \"dist_evals_op\": %s", evals[name]) : ""
         if (!(name in base)) {
             # A kernel added this PR has no prior report to compare
             # against: self-baseline so the next PR inherits a number.
-            printf "    {\"name\": \"%s\", \"baseline_ns_op\": %s, \"current_ns_op\": %s, \"speedup\": 1.00, \"new\": true}%s\n",
-                name, best[name], best[name], (i < n ? "," : "")
+            printf "    {\"name\": \"%s\", \"baseline_ns_op\": %s, \"current_ns_op\": %s, \"speedup\": 1.00, \"new\": true%s}%s\n",
+                name, best[name], best[name], extra, (i < n ? "," : "")
             continue
         }
-        printf "    {\"name\": \"%s\", \"baseline_ns_op\": %s, \"current_ns_op\": %s, \"speedup\": %.2f}%s\n",
-            name, base[name], best[name], base[name] / best[name], (i < n ? "," : "")
+        printf "    {\"name\": \"%s\", \"baseline_ns_op\": %s, \"current_ns_op\": %s, \"speedup\": %.2f%s}%s\n",
+            name, base[name], best[name], base[name] / best[name], extra, (i < n ? "," : "")
     }
     printf "  ]\n}\n"
     if (missing != "") {

@@ -56,6 +56,10 @@ go test -run='^$' -fuzz='^FuzzSalvageBucket$' -fuzztime=5s ./internal/grid
 # Checkpoint decoders (SKMC v1 stream + v2 windowed) guard the serving
 # daemon's recovery path; the committed corpus pins both versions.
 go test -run='^$' -fuzz='^FuzzCheckpoint$' -fuzztime=5s .
+# The bounded Lloyd sweep must stay bit-identical to full scans on
+# arbitrary inputs (ties, NaN/Inf, overflow); the committed corpus pins
+# the cases that broke earlier variants of the bound test.
+go test -run='^$' -fuzz='^FuzzLloydBounded$' -fuzztime=5s ./internal/kmeans
 
 # Distributed chaos smoke: the loopback coordinator/worker suite under
 # injected frame faults must stay bit-identical to the local engine.
@@ -80,3 +84,17 @@ go test -run='^$' -bench=. -benchtime=10x ./internal/kmeans ./internal/vector
 # the gated capacity run is CI's `load` job with the ci profile.
 go run ./cmd/loadgen -profile smoke -driver both -out /tmp/load-smoke.$$.json
 rm -f /tmp/load-smoke.$$.json
+
+# Perfbench correctness smoke: two seconds of the cells-batch workload
+# against a freshly built streamkmd. The harness replays every stream
+# through the library and compares each daemon answer bit for bit, so
+# the check fails unless the result reports correct and no failed ops.
+python3 perfbench/run.py --workload cells-batch --seed 1 --seconds 2 --trace 0 \
+  > /tmp/perfbench-smoke.$$.json
+python3 -c '
+import json, sys
+r = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench smoke failed: %r" % r)
+' /tmp/perfbench-smoke.$$.json
+rm -f /tmp/perfbench-smoke.$$.json

@@ -62,8 +62,12 @@ type Options struct {
 	MaxIterations int
 	// Seed makes runs reproducible; equal seeds give equal results.
 	Seed uint64
-	// Accelerate selects Hamerly's bound-based Lloyd iteration: the
-	// same fixpoints with far fewer distance computations for large K.
+	// Accelerate selects Hamerly's Lloyd iteration. Both iterations
+	// skip the distance computations their bounds rule out, and the
+	// default one still returns exactly the full-scan answer; Hamerly's
+	// updates cluster sums incrementally and stops at the assignment
+	// fixpoint instead of the Epsilon test, reaching the same fixpoints
+	// up to floating-point summation order.
 	Accelerate bool
 	// Summarizer selects the chunk-summarizer operator that reduces each
 	// partition to a weighted summary: "kmeans" (default — the paper's

@@ -43,10 +43,12 @@ type WindowedOptions struct {
 	WindowChunks int
 	// Restarts is the seed sets per chunk reduction (0 = 1).
 	Restarts int
-	// Epsilon, MaxIterations, Accelerate tune the inner k-means.
+	// Epsilon and MaxIterations tune the inner k-means.
 	Epsilon       float64
 	MaxIterations int
-	Accelerate    bool
+	// Accelerate selects Hamerly's Lloyd iteration for it (see
+	// Options.Accelerate): incremental sums and a fixpoint stop.
+	Accelerate bool
 	// Seed makes the stream reproducible.
 	Seed uint64
 	// MergeSolver selects the merge/maintenance kernel: "lloyd"
