@@ -14,6 +14,7 @@ import (
 	"streamkm/internal/baseline"
 	"streamkm/internal/core"
 	"streamkm/internal/dataset"
+	"streamkm/internal/engine"
 	"streamkm/internal/kmeans"
 )
 
@@ -142,25 +143,25 @@ func BenchmarkFigure8(b *testing.B) {
 }
 
 // BenchmarkSpeedup regenerates E5: cloned partial operators over a fixed
-// cell. On a multi-core machine ns/op falls with clones up to the core
-// count; the mergeMSE metric stays constant, proving clone-invariance.
+// cell on the query engine. On a multi-core machine ns/op falls with
+// clones up to the core count; the mergeMSE metric stays constant,
+// proving clone-invariance.
 func BenchmarkSpeedup(b *testing.B) {
 	const n, splits = 12500, 10
+	q := engine.Query{K: benchK, Restarts: benchRestarts, Seed: 1}
 	for _, clones := range []int{1, 2, 4, 8} {
 		clones := clones
 		b.Run("clones="+itoa(clones), func(b *testing.B) {
-			cell := benchCell(b, n)
+			cells := []engine.Cell{{Points: benchCell(b, n)}}
+			plan := engine.PhysicalPlan{ChunkPoints: n / splits, PartialClones: clones, QueueCapacity: max(2*clones, 4)}
 			var mse float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.ClusterParallel(context.Background(), cell, core.Options{
-					K: benchK, Restarts: benchRestarts, Splits: splits,
-					Seed: 1, Parallelism: clones,
-				})
+				res, _, err := engine.Execute(context.Background(), cells, q, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mse = res.MergeMSE
+				mse = res[0].Result.MSE
 			}
 			b.ReportMetric(mse, "mergeMSE")
 		})

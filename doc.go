@@ -13,8 +13,11 @@
 //
 // The top-level package is the facade over the full system:
 //
-//   - Cluster / ClusterContext run partial/merge k-means over an
-//     in-memory point set, serially or with cloned partial operators.
+//   - Cluster / ClusterContext / ClusterGoverned run partial/merge
+//     k-means over an in-memory point set: serially, on the query engine
+//     with cloned partial operators, or on the engine under the
+//     resource governor. All three return the same answer bit for bit
+//     when the partitioning matches (see ClusterGoverned).
 //   - StreamClusterer consumes an unbounded stream point by point under
 //     a fixed memory budget ("one look" semantics).
 //

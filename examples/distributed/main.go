@@ -15,8 +15,8 @@ import (
 	"runtime"
 
 	"streamkm/internal/baseline"
-	"streamkm/internal/core"
 	"streamkm/internal/dataset"
+	"streamkm/internal/engine"
 )
 
 func main() {
@@ -36,18 +36,19 @@ func main() {
 	fmt.Println("partial/merge k-means, 8 chunks, varying clone count:")
 	fmt.Printf("%-8s %12s %10s %12s\n", "clones", "elapsed", "speedup", "merge MSE")
 	var base float64
+	cells := []engine.Cell{{Points: cell}}
+	q := engine.Query{K: 40, Restarts: 5, Seed: 21}
 	for _, clones := range []int{1, 2, 4, 8} {
-		res, err := core.ClusterParallel(context.Background(), cell, core.Options{
-			K: 40, Restarts: 5, Splits: 8, Seed: 21, Parallelism: clones,
-		})
+		plan := engine.PhysicalPlan{ChunkPoints: cell.Len() / 8, PartialClones: clones, QueueCapacity: 2 * clones}
+		res, stats, err := engine.Execute(context.Background(), cells, q, plan)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if base == 0 {
-			base = float64(res.Elapsed)
+			base = float64(stats.Elapsed)
 		}
 		fmt.Printf("%-8d %12v %9.2fx %12.2f\n",
-			clones, res.Elapsed.Round(1e6), base/float64(res.Elapsed), res.MergeMSE)
+			clones, stats.Elapsed.Round(1e6), base/float64(stats.Elapsed), res[0].Result.MSE)
 	}
 
 	// The Fig. 2 baselines on the same cell.

@@ -10,6 +10,7 @@ import (
 	"streamkm/internal/core"
 	"streamkm/internal/dataset"
 	"streamkm/internal/distsim"
+	"streamkm/internal/engine"
 	"streamkm/internal/kmeans"
 	"streamkm/internal/metrics"
 	"streamkm/internal/vector"
@@ -27,8 +28,10 @@ type SpeedupRow struct {
 	MergeMSE float64
 }
 
-// RunSpeedup clusters one N-point cell with varying partial-operator
-// clone counts.
+// RunSpeedup clusters one N-point cell on the query engine with
+// varying partial-operator clone counts. Splits p becomes a budget of
+// ⌈N/p⌉ points per chunk, and the engine slices and seeds the cell as
+// core.Cluster does, so MergeMSE is the serial run's for every count.
 func RunSpeedup(ctx context.Context, w Workload, n int, splits int, clones []int) ([]SpeedupRow, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
@@ -36,29 +39,31 @@ func RunSpeedup(ctx context.Context, w Workload, n int, splits int, clones []int
 	if len(clones) == 0 {
 		return nil, fmt.Errorf("bench: no clone counts")
 	}
+	if splits <= 0 {
+		return nil, fmt.Errorf("bench: split count must be positive, got %d", splits)
+	}
 	cell, err := w.cell(n, 0)
 	if err != nil {
 		return nil, err
 	}
+	cells := []engine.Cell{{Points: cell}}
+	q := engine.Query{K: w.K, Restarts: w.Restarts, Seed: w.Seed}
 	var rows []SpeedupRow
 	var base time.Duration
 	for _, c := range clones {
-		opts := core.Options{
-			K: w.K, Restarts: w.Restarts, Splits: splits,
-			Seed: w.Seed, Parallelism: c,
-		}
-		res, err := core.ClusterParallel(ctx, cell, opts)
+		plan := engine.PhysicalPlan{ChunkPoints: (n + splits - 1) / splits, PartialClones: c, QueueCapacity: max(2*c, 4)}
+		res, stats, err := engine.Execute(ctx, cells, q, plan)
 		if err != nil {
 			return nil, fmt.Errorf("bench: speedup clones=%d: %w", c, err)
 		}
 		if base == 0 {
-			base = res.Elapsed
+			base = stats.Elapsed
 		}
 		rows = append(rows, SpeedupRow{
 			Clones:   c,
-			Elapsed:  res.Elapsed,
-			Speedup:  float64(base) / float64(res.Elapsed),
-			MergeMSE: res.MergeMSE,
+			Elapsed:  stats.Elapsed,
+			Speedup:  float64(base) / float64(stats.Elapsed),
+			MergeMSE: res[0].Result.MSE,
 		})
 	}
 	return rows, nil

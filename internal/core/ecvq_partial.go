@@ -99,24 +99,3 @@ func ECVQPartial(chunk *dataset.Set, cfg ECVQPartialConfig, r *rng.RNG) (*ECVQPa
 		Elapsed:   time.Since(start),
 	}, nil
 }
-
-// ClusterECVQ runs the full pipeline with ECVQ partial reduction: chunks
-// are reduced adaptively (k chosen per partition), then the standard
-// collective merge produces the final k centroids. opts.K is the merge
-// k; ecfg.MaxK bounds the per-partition codebooks.
-//
-// Deprecated: ECVQ is now a first-class Summarizer operator; set
-// Options.Summarizer = SummarizerECVQ (with ECVQMaxK/ECVQLambda) and
-// call Cluster, or build the operator with NewECVQSummarizer. This
-// wrapper survives only for old callers — scripts/check.sh rejects new
-// uses outside internal/core.
-func ClusterECVQ(points *dataset.Set, opts Options, ecfg ECVQPartialConfig) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	summ, err := NewECVQSummarizer(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return clusterWith(points, opts, summ)
-}

@@ -59,11 +59,10 @@ func TestECVQPartialRestartsKeepBest(t *testing.T) {
 	}
 }
 
-func TestClusterECVQEndToEnd(t *testing.T) {
+func TestClusterWithECVQSummarizerEndToEnd(t *testing.T) {
 	cell := blobCell(t, 5, 600, 6)
-	res, err := ClusterECVQ(cell,
-		Options{K: 10, Restarts: 2, Splits: 4, Seed: 7},
-		ECVQPartialConfig{MaxK: 20, Lambda: 5, Restarts: 2})
+	res, err := Cluster(cell, Options{K: 10, Restarts: 2, Splits: 4, Seed: 7,
+		Summarizer: SummarizerECVQ, ECVQMaxK: 20, ECVQLambda: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +84,14 @@ func TestClusterECVQEndToEnd(t *testing.T) {
 	}
 }
 
-func TestClusterECVQValidation(t *testing.T) {
+func TestClusterWithECVQSummarizerValidation(t *testing.T) {
 	cell := blobCell(t, 4, 200, 8)
-	if _, err := ClusterECVQ(cell, Options{K: 0, Restarts: 1, Splits: 2},
-		ECVQPartialConfig{MaxK: 5}); err == nil {
+	if _, err := Cluster(cell, Options{K: 0, Restarts: 1, Splits: 2,
+		Summarizer: SummarizerECVQ, ECVQMaxK: 5}); err == nil {
 		t.Fatal("bad opts should error")
 	}
-	if _, err := ClusterECVQ(cell, Options{K: 4, Restarts: 1, Splits: 2},
-		ECVQPartialConfig{MaxK: 0}); err == nil {
+	if _, err := Cluster(cell, Options{K: 4, Restarts: 1, Splits: 2,
+		Summarizer: SummarizerECVQ, ECVQLambda: -1}); err == nil {
 		t.Fatal("bad ECVQ cfg should error")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"streamkm/internal/kmeans"
 	"streamkm/internal/metrics"
 	"streamkm/internal/rng"
-	"streamkm/internal/stream"
 	"streamkm/internal/vector"
 )
 
@@ -44,21 +42,13 @@ type Options struct {
 	// Seed derives all randomness for the run; equal seeds reproduce
 	// results exactly.
 	Seed uint64
-	// Parallelism is the number of partial-operator clones used by
-	// ClusterParallel (<=0 selects 1; Cluster ignores it).
-	Parallelism int
-	// QueueCapacity sizes the inter-operator queues in ClusterParallel
-	// (<=0 selects the stream default).
-	QueueCapacity int
 	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config) in
 	// both the partial and merge steps: incremental cluster sums and a
 	// stop at the assignment fixpoint. Both iterations skip the distance
 	// work their bounds rule out.
 	Accelerate bool
 	// Workers, when >= 2, fans each partial operator's Restarts across
-	// that many goroutines. Orthogonal to Parallelism (operator clones):
-	// Parallelism spreads chunks over clones, Workers spreads one
-	// chunk's restarts over cores. Results stay bit-identical to serial
+	// that many goroutines. Results stay bit-identical to serial
 	// execution for any value.
 	Workers int
 	// Summarizer names the chunk-summarizer operator ("" or "kmeans" =
@@ -106,8 +96,8 @@ func (o Options) Validate() error {
 }
 
 // PartialConfig derives the partial-stage configuration from the
-// options — the one place the mapping is written down, shared by the
-// serial and parallel pipelines and the streamkm facade.
+// options — the one place the mapping is written down, shared by
+// Cluster and the streamkm facade.
 func (o Options) PartialConfig() PartialConfig {
 	return PartialConfig{
 		K:             o.K,
@@ -177,8 +167,7 @@ type Result struct {
 	// Partitions is the number of chunks p actually used.
 	Partitions int
 	// PartialTime sums wall-clock time across partial steps ("t C0-Ci"
-	// in Table 2; under ClusterParallel clones overlap, so the summed
-	// value is CPU-like while Elapsed is wall-clock).
+	// in Table 2).
 	PartialTime time.Duration
 	// MergeTime is the merge step's wall-clock time ("t merge").
 	MergeTime time.Duration
@@ -201,22 +190,15 @@ func Cluster(points *dataset.Set, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return clusterWith(points, opts, summ)
-}
-
-// clusterWith is the serial pipeline body with the summarizer operator
-// injected — shared by Cluster and the deprecated ClusterECVQ wrapper.
-func clusterWith(points *dataset.Set, opts Options, summ Summarizer) (*Result, error) {
 	start := time.Now()
-	r := rng.New(opts.Seed)
-	chunks, err := splitForOptions(points, opts, r)
+	cell, err := SliceCell(points, opts.Splits, opts.ChunkPoints, opts.Strategy, rng.New(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Partitions: len(chunks)}
-	parts := make([]*dataset.WeightedSet, len(chunks))
-	for i, chunk := range chunks {
-		pr, err := summ.Summarize(chunk, r.Split())
+	res := &Result{Partitions: len(cell.Chunks)}
+	parts := make([]*dataset.WeightedSet, len(cell.Chunks))
+	for i, chunk := range cell.Chunks {
+		pr, err := summ.Summarize(chunk, cell.ChunkRNGs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
@@ -224,127 +206,52 @@ func clusterWith(points *dataset.Set, opts Options, summ Summarizer) (*Result, e
 		res.PartialTime += pr.Elapsed
 		res.PartialIterations += pr.Iterations
 	}
-	if err := finishMerge(points, parts, opts, r, res); err != nil {
+	mr, err := MergeKMeans(parts, opts.MergeConfig(), cell.MergeRNG)
+	if err != nil {
+		return nil, err
+	}
+	res.Centroids, res.Weights, res.MergeMSE = mr.Centroids, mr.Weights, mr.MSE
+	res.MergeTime, res.MergeIterations = mr.Elapsed, mr.Iterations
+	if res.PointMSE, err = metrics.MSE(points, mr.Centroids); err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// ClusterParallel runs the same computation as a stream plan: a chunk
-// source feeding Parallelism clones of the partial operator, whose
-// weighted centroid sets fan in to the merge operator (Fig. 5). The
-// result is deterministic for a fixed Seed up to merge-input order;
-// collective merging with heaviest-weight seeding makes the final
-// centroids insensitive to arrival order, matching §3.3's argument.
-func ClusterParallel(ctx context.Context, points *dataset.Set, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	summ, err := opts.NewSummarizer()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	r := rng.New(opts.Seed)
-	chunks, err := splitForOptions(points, opts, r)
-	if err != nil {
-		return nil, err
-	}
-	clones := opts.Parallelism
-	if clones < 1 {
-		clones = 1
-	}
-
-	type task struct {
-		index int
-		chunk *dataset.Set
-		rng   *rng.RNG
-	}
-	type partOut struct {
-		index int
-		res   *PartialResult
-	}
-
-	// Derive one RNG per chunk up front so results do not depend on
-	// which clone handles which chunk.
-	tasks := make([]task, len(chunks))
-	for i, c := range chunks {
-		tasks[i] = task{index: i, chunk: c, rng: r.Split()}
-	}
-
-	g, gctx := stream.NewGroup(ctx)
-	reg := stream.NewStatsRegistry()
-	chunkQ := stream.NewQueue[task]("chunks", opts.QueueCapacity)
-	partQ := stream.NewQueue[partOut]("partials", opts.QueueCapacity)
-
-	stream.RunSource(g, gctx, reg, "scan", func(ctx context.Context, emit stream.Emit[task]) error {
-		for _, t := range tasks {
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, chunkQ)
-
-	stream.RunTransform(g, gctx, reg, "partial-"+summ.Spec().Name, clones,
-		func(ctx context.Context, t task, emit stream.Emit[partOut]) error {
-			pr, err := summ.Summarize(t.chunk, t.rng)
-			if err != nil {
-				return fmt.Errorf("partition %d: %w", t.index, err)
-			}
-			return emit(partOut{index: t.index, res: pr})
-		}, chunkQ, partQ)
-
-	collected := make([]*PartialResult, len(chunks))
-	stream.RunSink(g, gctx, reg, "collect-partials", 1,
-		func(ctx context.Context, p partOut) error {
-			collected[p.index] = p.res
-			return nil
-		}, partQ)
-
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-
-	res := &Result{Partitions: len(chunks)}
-	parts := make([]*dataset.WeightedSet, len(chunks))
-	for i, pr := range collected {
-		if pr == nil {
-			return nil, fmt.Errorf("core: partition %d produced no result", i)
-		}
-		parts[i] = pr.Centroids
-		res.PartialTime += pr.Elapsed
-		res.PartialIterations += pr.Iterations
-	}
-	if err := finishMerge(points, parts, opts, r, res); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+// SlicedCell is one cell cut into partitions, with the random stream
+// of every partial step and of the merge derived before any of them
+// runs, so the answer cannot depend on which operator clone, process
+// or worker handles which chunk (§3.3–3.4).
+type SlicedCell struct {
+	Chunks    []*dataset.Set
+	ChunkRNGs []*rng.RNG
+	MergeRNG  *rng.RNG
 }
 
-func splitForOptions(points *dataset.Set, opts Options, r *rng.RNG) ([]*dataset.Set, error) {
-	if opts.Splits > 0 {
-		return dataset.Split(points, opts.Splits, opts.Strategy, r)
+// SliceCell is the one slicing and RNG-derivation rule every
+// partial/merge entry point shares: the slicing draws from r first
+// (SplitRandom shuffles with it; salami and spatial slicing draw
+// nothing), then chunk i takes the i-th r.Split() and the merge the
+// next one. splits > 0 cuts exactly that many chunks; otherwise
+// chunkPoints caps each chunk's size. Cluster applies the rule to
+// rng.New(Seed); the engine applies it cell after cell on one master
+// stream, so a one-cell engine run equals Cluster bit for bit.
+func SliceCell(points *dataset.Set, splits, chunkPoints int, strategy dataset.SplitStrategy, r *rng.RNG) (*SlicedCell, error) {
+	var chunks []*dataset.Set
+	var err error
+	if splits > 0 {
+		chunks, err = dataset.Split(points, splits, strategy, r)
+	} else {
+		chunks, err = dataset.SplitByBudget(points, chunkPoints, strategy, r)
 	}
-	return dataset.SplitByBudget(points, opts.ChunkPoints, opts.Strategy, r)
-}
-
-func finishMerge(points *dataset.Set, parts []*dataset.WeightedSet, opts Options, r *rng.RNG, res *Result) error {
-	mr, err := MergeKMeans(parts, opts.MergeConfig(), r.Split())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.Centroids = mr.Centroids
-	res.Weights = mr.Weights
-	res.MergeMSE = mr.MSE
-	res.MergeTime = mr.Elapsed
-	res.MergeIterations = mr.Iterations
-	pm, err := metrics.MSE(points, mr.Centroids)
-	if err != nil {
-		return err
+	cell := &SlicedCell{Chunks: chunks, ChunkRNGs: make([]*rng.RNG, len(chunks))}
+	for i := range chunks {
+		cell.ChunkRNGs[i] = r.Split()
 	}
-	res.PointMSE = pm
-	return nil
+	cell.MergeRNG = r.Split()
+	return cell, nil
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"streamkm/internal/dataset"
 	"streamkm/internal/metrics"
+	"streamkm/internal/rng"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -24,9 +24,6 @@ func TestOptionsValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Cluster(cell, tc.opts); err == nil {
 				t.Fatalf("Cluster should reject %s", tc.name)
-			}
-			if _, err := ClusterParallel(context.Background(), cell, tc.opts); err == nil {
-				t.Fatalf("ClusterParallel should reject %s", tc.name)
 			}
 		})
 	}
@@ -104,40 +101,36 @@ func TestClusterDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestClusterParallelMatchesSerial(t *testing.T) {
-	// ClusterParallel derives per-chunk RNGs before dispatch and merges
-	// collectively, so its result must be identical to Cluster for the
-	// same options regardless of clone count.
+// TestSliceCellRule pins the shared slicing rule: the slicing draws
+// from the stream first, then chunk i takes the i-th Split and the
+// merge the next one; a chunk budget that yields the same count cuts
+// the same chunks.
+func TestSliceCellRule(t *testing.T) {
 	cell := blobCell(t, 5, 500, 17)
-	opts := Options{K: 5, Restarts: 2, Splits: 5, Seed: 55}
-	serial, err := Cluster(cell, opts)
+	want := rng.New(55)
+	chunks, err := dataset.Split(cell, 5, dataset.SplitRandom, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, clones := range []int{1, 2, 4} {
-		opts.Parallelism = clones
-		par, err := ClusterParallel(context.Background(), cell, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(par.MergeMSE-serial.MergeMSE) > 1e-12 {
-			t.Fatalf("clones=%d: MergeMSE %g != serial %g", clones, par.MergeMSE, serial.MergeMSE)
-		}
-		for i := range serial.Centroids {
-			if !par.Centroids[i].Equal(serial.Centroids[i]) {
-				t.Fatalf("clones=%d: centroid %d differs", clones, i)
+	bySplits, err := SliceCell(cell, 5, 0, dataset.SplitRandom, rng.New(55))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBudget, err := SliceCell(cell, 0, 100, dataset.SplitRandom, rng.New(55))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range chunks {
+		next := want.Split().Uint64()
+		for _, got := range []*SlicedCell{bySplits, byBudget} {
+			if len(got.Chunks) != len(chunks) || !got.Chunks[i].At(0).Equal(c.At(0)) || got.ChunkRNGs[i].Uint64() != next {
+				t.Fatalf("chunk %d does not follow the rule", i)
 			}
 		}
 	}
-}
-
-func TestClusterParallelCancellation(t *testing.T) {
-	cell := blobCell(t, 5, 2000, 19)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := ClusterParallel(ctx, cell, Options{K: 5, Restarts: 10, Splits: 10, Seed: 1, Parallelism: 2})
-	if err == nil {
-		t.Fatal("pre-cancelled context should abort the plan")
+	merge := want.Split().Uint64()
+	if bySplits.MergeRNG.Uint64() != merge || byBudget.MergeRNG.Uint64() != merge {
+		t.Fatal("merge RNG does not follow the rule")
 	}
 }
 

@@ -365,8 +365,7 @@ func (s *KMeansSummarizer) Spec() SummarizerSpec {
 }
 
 // ECVQSummarizer adapts ECVQPartial — the §3.3 Remarks' adaptive-k
-// extension — to the Summarizer contract, unifying the previously
-// stranded ClusterECVQ side path with the engine pipeline.
+// extension — to the Summarizer contract.
 type ECVQSummarizer struct {
 	cfg ECVQPartialConfig
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -173,69 +172,6 @@ func clusterOptionsFor(name string) Options {
 		Summarizer:  name,
 		CoresetSize: 40,
 		ECVQMaxK:    10,
-	}
-}
-
-func TestClusterSerialMatchesParallelPerSummarizer(t *testing.T) {
-	points := blobCell(t, 5, 600, 21)
-	for _, name := range SummarizerNames() {
-		opts := clusterOptionsFor(name)
-		serial, err := Cluster(points, opts)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		opts.Parallelism = 3
-		par, err := ClusterParallel(context.Background(), points, opts)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-		if len(serial.Centroids) != len(par.Centroids) {
-			t.Fatalf("%s: centroid counts differ", name)
-		}
-		for i := range serial.Centroids {
-			if serial.Weights[i] != par.Weights[i] {
-				t.Fatalf("%s centroid %d: weight %v != %v", name, i, serial.Weights[i], par.Weights[i])
-			}
-			for d := range serial.Centroids[i] {
-				if serial.Centroids[i][d] != par.Centroids[i][d] {
-					t.Fatalf("%s centroid %d dim %d differs", name, i, d)
-				}
-			}
-		}
-		if serial.MergeMSE != par.MergeMSE || serial.PointMSE != par.PointMSE {
-			t.Fatalf("%s: MSE drift", name)
-		}
-	}
-}
-
-func TestClusterECVQWrapperMatchesSummarizerPath(t *testing.T) {
-	points := blobCell(t, 4, 500, 31)
-	opts := Options{K: 5, Restarts: 2, Splits: 4, Seed: 13}
-	ecfg := ECVQPartialConfig{MaxK: 10, Lambda: 5, Restarts: 2}
-	legacy, err := ClusterECVQ(points, opts, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Summarizer = SummarizerECVQ
-	opts.ECVQMaxK = ecfg.MaxK
-	opts.ECVQLambda = ecfg.Lambda
-	unified, err := Cluster(points, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Centroids) != len(unified.Centroids) {
-		t.Fatal("centroid counts differ")
-	}
-	for i := range legacy.Centroids {
-		for d := range legacy.Centroids[i] {
-			if legacy.Centroids[i][d] != unified.Centroids[i][d] {
-				t.Fatalf("centroid %d dim %d: %v != %v",
-					i, d, legacy.Centroids[i][d], unified.Centroids[i][d])
-			}
-		}
-	}
-	if legacy.MergeMSE != unified.MergeMSE {
-		t.Fatalf("merge MSE %v != %v", legacy.MergeMSE, unified.MergeMSE)
 	}
 }
 

@@ -280,9 +280,9 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedJournalLeases pins the journal's v2 checkpoint format:
-// lease records survive an encode/decode cycle and a lease-free journal
-// still writes version 1 bytes.
+// TestDistributedJournalLeases pins the journal's lease section: lease
+// records survive an encode/decode cycle, and a lease-free journal
+// writes the same v4 layout with zero leases.
 func TestDistributedJournalLeases(t *testing.T) {
 	cells, q, plan := distScenario(t)
 	addrs, stop := startWorkers(t, 2, WorkerConfig{})
@@ -321,7 +321,8 @@ func TestDistributedJournalLeases(t *testing.T) {
 		}
 	}
 
-	// A local (lease-free) journal still round-trips as version 1.
+	// A local (lease-free) journal uses the same v4 layout with an
+	// empty lease section, and round-trips.
 	local := engine.NewJournal()
 	_, _, err = engine.NewExec(q, plan, engine.WithJournal(local)).Execute(context.Background(), cells)
 	if err != nil {
@@ -331,11 +332,15 @@ func TestDistributedJournalLeases(t *testing.T) {
 	if err := local.Encode(&lbuf); err != nil {
 		t.Fatal(err)
 	}
-	if v := lbuf.Bytes()[5]; lbuf.Bytes()[4] != 1 || v != 0 {
-		t.Fatalf("lease-free journal wrote version %d, want 1", uint16(lbuf.Bytes()[4])|uint16(v)<<8)
+	if v := uint16(lbuf.Bytes()[4]) | uint16(lbuf.Bytes()[5])<<8; v != 4 {
+		t.Fatalf("lease-free journal wrote version %d, want 4", v)
 	}
-	if _, err := engine.DecodeJournal(bytes.NewReader(lbuf.Bytes())); err != nil {
+	ldecoded, err := engine.DecodeJournal(bytes.NewReader(lbuf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n := len(ldecoded.Leases()); n != 0 {
+		t.Fatalf("lease-free journal decoded %d leases", n)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,45 +24,28 @@ import (
 // cell's merge RNG is pre-derived from the query seed), so recovery
 // re-derives them, keeping the snapshot small and the format simple.
 //
-// Layout (little-endian):
-//
-//	magic   [4]byte "SKMJ"
-//	version uint16
-//	entries uint32
-//	entry   entries x { cell uint32, chunk uint32, total uint32,
-//	                    elapsedNs int64, weighted-set block }
-//
-// Version 2 (written only when the journal holds lease records —
-// distributed executions) appends after the entries:
-//
-//	leases  uint32
-//	lease   leases x { cell uint32, chunk uint32, attempt uint32,
-//	                   workerLen uint16, worker bytes,
-//	                   errLen uint16, err bytes }
-//
-// A journal with no leases still encodes as version 1, so local
-// checkpoints remain byte-identical to PR 2's format and old readers
-// keep working on them.
-//
-// Version 3 (written only when the journal was filled by a summarizer
-// other than the default k-means operator) inserts a length-prefixed
-// operator record between the header and the entries, and always ends
-// with the lease section (count may be 0):
+// Layout (SKMJ v4, little-endian):
 //
 //	magic    [4]byte "SKMJ"
-//	version  uint16 = 3
+//	version  uint16 = 4
 //	operator uint16 length + canonical core.SummarizerSpec encoding
-//	entries  uint32, then entries as in v1
-//	leases   uint32, then leases as in v2
+//	seed     uint64 query seed
+//	strategy uint8  slicing strategy (dataset.SplitStrategy)
+//	chunk    uint32 admitted chunk size in points
+//	entries  uint32, then entries x { cell uint32, chunk uint32,
+//	                   total uint32, elapsedNs int64, weighted-set block }
+//	leases   uint32 (may be 0), then leases x { cell uint32,
+//	                   chunk uint32, attempt uint32, workerLen uint16,
+//	                   worker bytes, errLen uint16, err bytes }
 //
-// Journals written by the k-means operator keep encoding as v1/v2, so
-// every pre-summarizer checkpoint stays byte-identical and decodes to
-// an implicit "kmeans" operator record.
+// The operator, seed, strategy and chunk size name the run that filled
+// the journal: together they fix every chunk's points and random
+// stream (core.SliceCell), so a resume under any other values would
+// merge summaries of different chunks. Versions 1–3 recorded only the
+// operator and are refused.
 const (
 	journalMagic      = "SKMJ"
-	journalVersion    = 1
-	journalVersionV2  = 2
-	journalVersionV3  = 3
+	journalVersion    = 4
 	journalMaxStrLen  = 1 << 12
 	journalMaxEntries = 1 << 24
 )
@@ -71,11 +53,20 @@ const (
 // ErrBadJournal is wrapped by journal decoding errors.
 var ErrBadJournal = errors.New("engine: malformed execution journal")
 
-// ErrJournalOperatorMismatch is returned when an execution tries to
-// resume a journal that was filled by a different summarizer operator —
-// merging summaries produced by two different operators would be
-// silently wrong, so the resume is refused up front.
-var ErrJournalOperatorMismatch = errors.New("engine: journal operator mismatch")
+// ErrJournalMismatch is returned when an execution tries to resume a
+// journal that a different run filled — another summarizer operator,
+// seed, slicing strategy or admitted chunk size. Merging its summaries
+// would be silently wrong, so the resume is refused up front.
+var ErrJournalMismatch = errors.New("engine: journal belongs to another run")
+
+// runIdentity is what a journal records about the run that filled it.
+type runIdentity struct {
+	// operator is the canonical spec encoding of the summarizer.
+	operator    string
+	seed        uint64
+	strategy    dataset.SplitStrategy
+	chunkPoints int
+}
 
 type journalKey struct{ cell, chunk int }
 
@@ -110,10 +101,9 @@ type Journal struct {
 	done   map[int]int // cell -> journaled chunk count
 	totals map[int]int // cell -> total chunk count
 	leases []LeaseRecord
-	// operator is the canonical spec encoding of the summarizer that
-	// filled the journal ("" until the first execution binds one;
-	// legacy checkpoints decode to the bare operator name).
-	operator string
+	// run names the run that filled the journal (operator "" until the
+	// first execution binds one).
+	run runIdentity
 }
 
 // NewJournal returns an empty journal.
@@ -157,16 +147,7 @@ func (j *Journal) record(p partialOut) bool {
 func (j *Journal) Operator() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.operator
-}
-
-// operatorName extracts the operator name from a canonical spec
-// encoding ("kmeans(k=5,...)" -> "kmeans").
-func operatorName(enc string) string {
-	if i := strings.IndexByte(enc, '('); i >= 0 {
-		return enc[:i]
-	}
-	return enc
+	return j.run.operator
 }
 
 // operatorIdentity normalizes a spec encoding for resume-compatibility
@@ -183,26 +164,33 @@ func operatorIdentity(enc string) string {
 	return spec.Encode()
 }
 
-// bindOperator ties the journal to the executing summarizer. The first
-// binding records the spec; later bindings must be identity-compatible
-// or the resume is refused with ErrJournalOperatorMismatch. A bare
-// operator name (a decoded legacy checkpoint) accepts any spec of the
-// same operator and upgrades to the full encoding.
-func (j *Journal) bindOperator(spec core.SummarizerSpec) error {
-	enc := spec.Encode()
+// bind ties the journal to the executing run. The first binding
+// records it; later bindings must name the same seed, strategy and
+// chunk size and an identity-compatible operator, or the resume is
+// refused with ErrJournalMismatch.
+func (j *Journal) bind(run runIdentity) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.operator {
-	case "", enc, spec.Name:
-		j.operator = enc
+	rec := j.run
+	if rec.operator == "" {
+		j.run = run
 		return nil
 	}
-	if operatorIdentity(j.operator) == operatorIdentity(enc) {
-		j.operator = enc
+	var diff string
+	switch {
+	case operatorIdentity(rec.operator) != operatorIdentity(run.operator):
+		diff = fmt.Sprintf("operator %q, query runs %q", rec.operator, run.operator)
+	case rec.seed != run.seed:
+		diff = fmt.Sprintf("seed %d, query runs %d", rec.seed, run.seed)
+	case rec.strategy != run.strategy:
+		diff = fmt.Sprintf("strategy %v, query runs %v", rec.strategy, run.strategy)
+	case rec.chunkPoints != run.chunkPoints:
+		diff = fmt.Sprintf("chunk size %d, query runs %d", rec.chunkPoints, run.chunkPoints)
+	default:
+		j.run.operator = run.operator
 		return nil
 	}
-	return fmt.Errorf("%w: journal was written by %q, query runs %q",
-		ErrJournalOperatorMismatch, j.operator, enc)
+	return fmt.Errorf("%w: journal was written with %s", ErrJournalMismatch, diff)
 }
 
 // recordLeases appends a chunk's assignment trail — one record per
@@ -231,7 +219,7 @@ func (j *Journal) Leases() []LeaseRecord {
 	return out
 }
 
-// sortLeases orders records by (cell, chunk, attempt, worker) — the
+// sortLeases orders records by (cell, chunk, attempt, worker, err) — the
 // canonical order for Encode and Leases, making equal ledgers compare
 // (and serialize) identically even though clones append concurrently.
 func sortLeases(ls []LeaseRecord) {
@@ -245,7 +233,10 @@ func sortLeases(ls []LeaseRecord) {
 		if ls[a].Attempt != ls[b].Attempt {
 			return ls[a].Attempt < ls[b].Attempt
 		}
-		return ls[a].Worker < ls[b].Worker
+		if ls[a].Worker != ls[b].Worker {
+			return ls[a].Worker < ls[b].Worker
+		}
+		return ls[a].Err < ls[b].Err
 	})
 }
 
@@ -327,23 +318,41 @@ func (j *Journal) availableParts(cell, total int) (parts []*dataset.WeightedSet,
 	return parts, elapsed, missing
 }
 
+// The fixed-size records of the v4 layout, written and read whole by
+// encoding/binary (packed, little-endian).
+type (
+	journalRunRecord struct {
+		Seed     uint64
+		Strategy uint8
+		Chunk    uint32
+		Entries  uint32
+	}
+	journalEntryRecord struct {
+		Cell, Chunk, Total uint32
+		ElapsedNs          int64
+	}
+	journalLeaseRecord struct{ Cell, Chunk, Attempt uint32 }
+)
+
 // Encode serializes the journal — the engine's migration checkpoint.
 // Entries are written in (cell, chunk) order so equal journals produce
-// identical bytes.
+// identical bytes. A journal no execution has bound yet names no run
+// and cannot be encoded.
 func (j *Journal) Encode(w io.Writer) error {
 	j.mu.Lock()
 	keys := make([]journalKey, 0, len(j.parts))
-	for k := range j.parts {
-		keys = append(keys, k)
-	}
 	entries := make(map[journalKey]journalEntry, len(j.parts))
 	for k, e := range j.parts {
+		keys = append(keys, k)
 		entries[k] = e
 	}
 	leases := make([]LeaseRecord, len(j.leases))
 	copy(leases, j.leases)
-	operator := j.operator
+	run := j.run
 	j.mu.Unlock()
+	if run.operator == "" {
+		return errors.New("engine: journal is not bound to a run")
+	}
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a].cell != keys[b].cell {
 			return keys[a].cell < keys[b].cell
@@ -352,67 +361,38 @@ func (j *Journal) Encode(w io.Writer) error {
 	})
 	sortLeases(leases)
 
-	// A lease-free journal writes version 1 — byte-identical to the
-	// pre-distributed format — so only distributed checkpoints carry the
-	// lease section, and only non-k-means summarizers carry the operator
-	// record (v3): every checkpoint a pre-summarizer engine could have
-	// produced still serializes to the bytes it produced then.
-	version := uint16(journalVersion)
-	if len(leases) > 0 {
-		version = journalVersionV2
-	}
-	if name := operatorName(operator); name != "" && name != core.SummarizerKMeans {
-		version = journalVersionV3
-	}
-
+	// The first error stops all further writes and is returned.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(journalMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, version); err != nil {
-		return err
-	}
-	if version == journalVersionV3 {
-		if err := writeJournalString(bw, operator); err != nil {
-			return err
+	var err error
+	put := func(v any) {
+		if err == nil {
+			err = binary.Write(bw, binary.LittleEndian, v)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(keys))); err != nil {
-		return err
+	putString := func(s string) {
+		if err == nil {
+			err = writeJournalString(bw, s)
+		}
 	}
+	put([]byte(journalMagic))
+	put(uint16(journalVersion))
+	putString(run.operator)
+	put(journalRunRecord{run.seed, uint8(run.strategy), uint32(run.chunkPoints), uint32(len(keys))})
 	for _, k := range keys {
 		e := entries[k]
-		for _, v := range []any{
-			uint32(k.cell),
-			uint32(k.chunk),
-			uint32(e.total),
-			int64(e.elapsed),
-		} {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		if err := dataset.EncodeWeightedSet(bw, e.centroids); err != nil {
-			return err
+		put(journalEntryRecord{uint32(k.cell), uint32(k.chunk), uint32(e.total), int64(e.elapsed)})
+		if err == nil {
+			err = dataset.EncodeWeightedSet(bw, e.centroids)
 		}
 	}
-	if version >= journalVersionV2 {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(leases))); err != nil {
-			return err
-		}
-		for _, l := range leases {
-			for _, v := range []any{uint32(l.Cell), uint32(l.Chunk), uint32(l.Attempt)} {
-				if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-					return err
-				}
-			}
-			if err := writeJournalString(bw, l.Worker); err != nil {
-				return err
-			}
-			if err := writeJournalString(bw, l.Err); err != nil {
-				return err
-			}
-		}
+	put(uint32(len(leases)))
+	for _, l := range leases {
+		put(journalLeaseRecord{uint32(l.Cell), uint32(l.Chunk), uint32(l.Attempt)})
+		putString(l.Worker)
+		putString(l.Err)
+	}
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -446,103 +426,91 @@ func readJournalString(r io.Reader) (string, error) {
 }
 
 // DecodeJournal reconstructs a journal from its serialized form.
+// Journals older than SKMJ v4 do not name their run and are refused.
 func DecodeJournal(r io.Reader) (*Journal, error) {
 	br := bufio.NewReader(r)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrBadJournal, fmt.Sprintf(format, args...))
+	}
+	get := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadJournal, err)
+		return nil, bad("short header: %v", err)
 	}
 	if string(magic) != journalMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadJournal, magic)
+		return nil, bad("bad magic %q", magic)
 	}
 	var version uint16
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJournal, err)
+	if err := get(&version); err != nil {
+		return nil, bad("%v", err)
 	}
-	if version < journalVersion || version > journalVersionV3 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadJournal, version)
+	if version != journalVersion {
+		return nil, bad("unsupported version %d (want %d)", version, journalVersion)
 	}
-	// Pre-v3 checkpoints were by construction filled by the k-means
-	// partial operator; the implicit name-only record lets bindOperator
-	// accept any k-means spec on resume.
-	operator := core.SummarizerKMeans
-	if version == journalVersionV3 {
-		var err error
-		if operator, err = readJournalString(br); err != nil {
-			return nil, fmt.Errorf("%w: operator record: %v", ErrBadJournal, err)
-		}
-		if operator == "" {
-			return nil, fmt.Errorf("%w: empty operator record", ErrBadJournal)
-		}
+	operator, err := readJournalString(br)
+	if err != nil {
+		return nil, bad("operator record: %v", err)
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJournal, err)
+	var run journalRunRecord
+	if err := get(&run); err != nil {
+		return nil, bad("run record: %v", err)
 	}
-	if count > journalMaxEntries {
-		return nil, fmt.Errorf("%w: implausible entry count %d", ErrBadJournal, count)
+	switch {
+	case operator == "":
+		return nil, bad("empty operator record")
+	case dataset.SplitStrategy(run.Strategy) > dataset.SplitSpatial:
+		return nil, bad("unknown strategy %d", run.Strategy)
+	case run.Chunk == 0 || run.Chunk > math.MaxInt32:
+		return nil, bad("implausible chunk size %d", run.Chunk)
+	case run.Entries > journalMaxEntries:
+		return nil, bad("implausible entry count %d", run.Entries)
 	}
 	j := NewJournal()
-	j.operator = operator
-	for i := uint32(0); i < count; i++ {
-		var cell, chunk, total uint32
-		var elapsedNs int64
-		for _, v := range []any{&cell, &chunk, &total} {
-			if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-				return nil, fmt.Errorf("%w: entry %d: %v", ErrBadJournal, i, err)
-			}
+	j.run = runIdentity{operator: operator, seed: run.Seed,
+		strategy: dataset.SplitStrategy(run.Strategy), chunkPoints: int(run.Chunk)}
+	for i := uint32(0); i < run.Entries; i++ {
+		var e journalEntryRecord
+		if err := get(&e); err != nil {
+			return nil, bad("entry %d: %v", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &elapsedNs); err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadJournal, i, err)
-		}
-		if cell > math.MaxInt32 || chunk > math.MaxInt32 || total > math.MaxInt32 || chunk >= total {
-			return nil, fmt.Errorf("%w: entry %d has implausible indices (cell %d chunk %d total %d)",
-				ErrBadJournal, i, cell, chunk, total)
+		if e.Cell > math.MaxInt32 || e.Total > math.MaxInt32 || e.Chunk >= e.Total {
+			return nil, bad("entry %d has implausible indices (cell %d chunk %d total %d)", i, e.Cell, e.Chunk, e.Total)
 		}
 		set, err := dataset.DecodeWeightedSet(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadJournal, i, err)
+			return nil, bad("entry %d: %v", i, err)
 		}
-		k := journalKey{int(cell), int(chunk)}
-		if !j.put(k, journalEntry{
-			total:     int(total),
-			elapsed:   time.Duration(elapsedNs),
-			centroids: set,
-		}) {
-			return nil, fmt.Errorf("%w: duplicate entry for cell %d chunk %d", ErrBadJournal, cell, chunk)
+		k := journalKey{int(e.Cell), int(e.Chunk)}
+		if !j.put(k, journalEntry{total: int(e.Total), elapsed: time.Duration(e.ElapsedNs), centroids: set}) {
+			return nil, bad("duplicate entry for cell %d chunk %d", e.Cell, e.Chunk)
 		}
 	}
-	if version >= journalVersionV2 {
-		var leases uint32
-		if err := binary.Read(br, binary.LittleEndian, &leases); err != nil {
-			return nil, fmt.Errorf("%w: lease count: %v", ErrBadJournal, err)
+	var leases uint32
+	if err := get(&leases); err != nil {
+		return nil, bad("lease count: %v", err)
+	}
+	if leases > journalMaxEntries {
+		return nil, bad("implausible lease count %d", leases)
+	}
+	for i := uint32(0); i < leases; i++ {
+		var l journalLeaseRecord
+		if err := get(&l); err != nil {
+			return nil, bad("lease %d: %v", i, err)
 		}
-		if leases > journalMaxEntries {
-			return nil, fmt.Errorf("%w: implausible lease count %d", ErrBadJournal, leases)
+		if l.Cell > math.MaxInt32 || l.Chunk > math.MaxInt32 || l.Attempt > math.MaxInt32 {
+			return nil, bad("lease %d has implausible indices", i)
 		}
-		for i := uint32(0); i < leases; i++ {
-			var cell, chunk, attempt uint32
-			for _, v := range []any{&cell, &chunk, &attempt} {
-				if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-					return nil, fmt.Errorf("%w: lease %d: %v", ErrBadJournal, i, err)
-				}
-			}
-			if cell > math.MaxInt32 || chunk > math.MaxInt32 || attempt > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: lease %d has implausible indices", ErrBadJournal, i)
-			}
-			worker, err := readJournalString(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: lease %d worker: %v", ErrBadJournal, i, err)
-			}
-			leaseErr, err := readJournalString(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: lease %d err: %v", ErrBadJournal, i, err)
-			}
-			j.leases = append(j.leases, LeaseRecord{
-				Cell: int(cell), Chunk: int(chunk), Attempt: int(attempt),
-				Worker: worker, Err: leaseErr,
-			})
+		worker, err := readJournalString(br)
+		if err != nil {
+			return nil, bad("lease %d worker: %v", i, err)
 		}
+		leaseErr, err := readJournalString(br)
+		if err != nil {
+			return nil, bad("lease %d err: %v", i, err)
+		}
+		j.leases = append(j.leases, LeaseRecord{
+			Cell: int(l.Cell), Chunk: int(l.Chunk), Attempt: int(l.Attempt), Worker: worker, Err: leaseErr,
+		})
 	}
 	return j, nil
 }

@@ -36,7 +36,6 @@ func TestComposedMatchesLegacyExecutors(t *testing.T) {
 	}
 	cases := map[string][]ExecOption{
 		"no options":          nil,
-		"supervision bundle":  {WithSupervision(Supervision{})},
 		"retry only":          {WithRetry(stream.RetryPolicy{MaxRetries: 2})},
 		"restarts only":       {WithRestarts(2)},
 		"journal only":        {WithJournal(NewJournal())},
@@ -227,22 +226,24 @@ func TestCompressionOptionComposes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWrapperReturnsStatsEvents pins the legacy wrapper's
-// contract: the events return value and ExecStats.ReoptEvents are the
+// TestOnReoptEventMatchesStatsEvents pins the observer's contract: the
+// events WithOnReoptEvent sees live and ExecStats.ReoptEvents are the
 // same record.
-func TestAdaptiveWrapperReturnsStatsEvents(t *testing.T) {
+func TestOnReoptEventMatchesStatsEvents(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	plan.PartialClones = 1
-	_, stats, events, err := ExecuteAdaptive(context.Background(), cells, q, plan, fastReopt(3))
+	var events []ReoptEvent
+	_, stats, err := NewExec(q, plan, WithReopt(fastReopt(3)),
+		WithOnReoptEvent(func(ev ReoptEvent) { events = append(events, ev) })).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != len(stats.ReoptEvents) {
-		t.Fatalf("wrapper returned %d events, stats hold %d", len(events), len(stats.ReoptEvents))
+		t.Fatalf("observer saw %d events, stats hold %d", len(events), len(stats.ReoptEvents))
 	}
 	for i := range events {
 		if events[i] != stats.ReoptEvents[i] {
-			t.Fatalf("event %d differs between wrapper and stats", i)
+			t.Fatalf("event %d differs between observer and stats", i)
 		}
 	}
 }

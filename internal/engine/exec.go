@@ -21,7 +21,7 @@ import (
 // merge-kmeans — and every engine feature is an independently
 // toggleable option on it:
 //
-//	supervision     WithRetry / WithRestarts / WithSupervision
+//	supervision     WithRetry / WithRestarts / WithOnRestart
 //	journaling      WithJournal (migration checkpoint in/out)
 //	re-optimization WithReopt (+ WithOnReoptEvent)
 //	fault injection WithFaultInjection
@@ -32,10 +32,14 @@ import (
 //
 // Any combination composes: an adaptive run can retry chunks and
 // restart from its journal; a journaled run can scale up under
-// backlog. Determinism holds across all of them because every chunk
-// and merge draws from a pre-derived RNG that is copied before use, so
-// the final centroids are bit-identical regardless of which features
-// are enabled (the equivalence test suite pins this down).
+// backlog. Fault tolerance follows Conquest's design (§4): supervision
+// retries failing chunks with exponential backoff, plan restarts
+// replay only the chunks the journal lost in flight, and a journal
+// moves the query to another process. Determinism holds across all of
+// them because every chunk and merge draws from a pre-derived RNG
+// (core.SliceCell) that is copied before use, so the final centroids
+// are bit-identical regardless of which features are enabled (the
+// equivalence test suite pins this down).
 
 // ExecOption toggles one engine service on an Exec.
 type ExecOption func(*Exec)
@@ -115,19 +119,6 @@ func WithFaultInjection(inj *fault.Injector) ExecOption {
 // (1-based) and the error that killed the previous attempt.
 func WithOnRestart(fn func(restart int, err error)) ExecOption {
 	return func(e *Exec) { e.onRestart = fn }
-}
-
-// WithSupervision enables the whole supervision bundle at once — the
-// legacy ExecuteSupervised configuration surface.
-func WithSupervision(sup Supervision) ExecOption {
-	return func(e *Exec) {
-		e.retry = sup.Retry
-		e.maxRestarts = sup.MaxRestarts
-		e.inject = sup.Inject
-		e.journal = sup.Journal
-		e.onRestart = sup.OnRestart
-		e.supervised = true
-	}
 }
 
 // WithReopt runs the dynamic re-optimizer alongside the plan: a
@@ -302,10 +293,12 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 	if journal == nil {
 		journal = NewJournal()
 	}
-	// A journal is bound to the operator that filled it: resuming a
-	// checkpoint under a different summarizer would merge incompatible
-	// summaries, so the mismatch is refused up front.
-	if err := journal.bindOperator(summ.Spec()); err != nil {
+	// A journal is bound to the run that filled it: resuming a
+	// checkpoint under another operator, seed, strategy or admitted
+	// chunk size would merge summaries of different chunks, so the
+	// mismatch is refused up front.
+	if err := journal.bind(runIdentity{operator: summ.Spec().Encode(), seed: q.Seed,
+		strategy: q.Strategy, chunkPoints: plan.ChunkPoints}); err != nil {
 		return nil, nil, err
 	}
 	compress := q.Compress

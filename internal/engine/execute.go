@@ -115,33 +115,31 @@ type partialOut struct {
 	res      *core.PartialResult
 }
 
-// prepareTasks slices every cell up front so per-chunk RNGs are stable
-// regardless of scheduling; the chunks themselves share the cells'
-// backing arrays, so this costs index slices, not data copies.
+// prepareTasks slices every cell up front under core.SliceCell's rule,
+// applied cell after cell on the one master stream, so per-chunk RNGs
+// are stable regardless of scheduling and a one-cell run equals
+// core.Cluster bit for bit.
 func prepareTasks(cells []Cell, q Query, plan PhysicalPlan, master *rng.RNG) ([]chunkTask, []*rng.RNG, error) {
 	var tasks []chunkTask
+	mergeRNGs := make([]*rng.RNG, len(cells))
 	for ci, cell := range cells {
 		if cell.Points == nil || cell.Points.Len() == 0 {
 			return nil, nil, fmt.Errorf("engine: cell %d (%v) is empty", ci, cell.Key)
 		}
-		splitRNG := master.Split()
-		chunks, err := dataset.SplitByBudget(cell.Points, plan.ChunkPoints, q.Strategy, splitRNG)
+		sliced, err := core.SliceCell(cell.Points, 0, plan.ChunkPoints, q.Strategy, master)
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: cell %v: %w", cell.Key, err)
 		}
-		for pi, c := range chunks {
+		for pi, c := range sliced.Chunks {
 			tasks = append(tasks, chunkTask{
 				cellIdx:  ci,
 				chunkIdx: pi,
-				total:    len(chunks),
+				total:    len(sliced.Chunks),
 				chunk:    c,
-				rng:      master.Split(),
+				rng:      sliced.ChunkRNGs[pi],
 			})
 		}
-	}
-	mergeRNGs := make([]*rng.RNG, len(cells))
-	for i := range mergeRNGs {
-		mergeRNGs[i] = master.Split()
+		mergeRNGs[ci] = sliced.MergeRNG
 	}
 	return tasks, mergeRNGs, nil
 }

@@ -59,7 +59,7 @@ func TestSupervisedMatchesPlainExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{})
+	got, stats, err := NewExec(q, plan, WithRetry(stream.RetryPolicy{})).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,9 @@ func TestSupervisedRetriesInjectedFaults(t *testing.T) {
 	// Seed chosen so the rate draws actually fire within the plan's 7
 	// chunks (some seeds inject nothing at these rates).
 	inj := fault.New(fault.Config{Seed: 6, ErrorRate: 0.3, PanicRate: 0.1})
-	got, stats, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-		Retry:  stream.RetryPolicy{MaxRetries: 25, BaseBackoff: time.Microsecond, Jitter: 0.5},
-		Inject: inj,
-	})
+	got, stats, err := NewExec(q, plan,
+		WithRetry(stream.RetryPolicy{MaxRetries: 25, BaseBackoff: time.Microsecond, Jitter: 0.5}),
+		WithFaultInjection(inj)).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +102,8 @@ func TestSupervisedRestartsAfterCrash(t *testing.T) {
 	// No retry budget: the 3rd partial invocation kills the whole plan;
 	// the executor must restart from the journal and still match.
 	var restartErrs []error
-	got, stats, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-		MaxRestarts: 2,
-		Inject:      fault.ErrorNth(3),
-		OnRestart:   func(_ int, err error) { restartErrs = append(restartErrs, err) },
-	})
+	got, stats, err := NewExec(q, plan, WithRestarts(2), WithFaultInjection(fault.ErrorNth(3)),
+		WithOnRestart(func(_ int, err error) { restartErrs = append(restartErrs, err) })).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +122,8 @@ func TestSupervisedRestartsAfterPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-		MaxRestarts: 1,
-		Inject:      fault.PanicNth(2),
-	})
+	got, stats, err := NewExec(q, plan, WithRestarts(1),
+		WithFaultInjection(fault.PanicNth(2))).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +136,7 @@ func TestSupervisedRestartsAfterPanic(t *testing.T) {
 func TestSupervisedGivesUpAfterMaxRestarts(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	inj := fault.New(fault.Config{ErrorRate: 1}) // every chunk fails, forever
-	_, _, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-		MaxRestarts: 2,
-		Inject:      inj,
-	})
+	_, _, err := NewExec(q, plan, WithRestarts(2), WithFaultInjection(inj)).Execute(context.Background(), cells)
 	if err == nil {
 		t.Fatal("permanently failing plan should error")
 	}
@@ -174,10 +165,8 @@ func TestJournalCheckpointRoundTripMidStream(t *testing.T) {
 	midFlight := false
 	for attempt := 0; attempt < 40 && !midFlight; attempt++ {
 		journal = NewJournal()
-		_, _, err = ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-			Inject:  fault.ErrorNth(int64(3 + attempt%5)),
-			Journal: journal,
-		})
+		_, _, err = NewExec(q, plan, WithFaultInjection(fault.ErrorNth(int64(3+attempt%5))),
+			WithJournal(journal)).Execute(context.Background(), cells)
 		if err == nil {
 			t.Fatal("expected the crashing attempt to die")
 		}
@@ -204,9 +193,7 @@ func TestJournalCheckpointRoundTripMidStream(t *testing.T) {
 	if restored.Chunks() != done {
 		t.Fatalf("round trip lost entries: %d != %d", restored.Chunks(), done)
 	}
-	got, stats, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{
-		Journal: restored,
-	})
+	got, stats, err := NewExec(q, plan, WithJournal(restored)).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +209,7 @@ func TestJournalCheckpointRoundTripMidStream(t *testing.T) {
 func TestDecodeJournalRejectsCorruption(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	journal := NewJournal()
-	_, _, err := ExecuteSupervised(context.Background(), cells, q, plan, Supervision{Journal: journal})
+	_, _, err := NewExec(q, plan, WithJournal(journal)).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +236,43 @@ func TestSupervisedCancellationIsNotRetried(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := ExecuteSupervised(ctx, cells, q, plan, Supervision{MaxRestarts: 100})
+	_, _, err := NewExec(q, plan, WithRestarts(100)).Execute(ctx, cells)
 	if err == nil {
 		t.Fatal("cancelled context should fail")
+	}
+}
+
+// TestJournalResumeUnderAnotherRunRefused crashes a journaled run and
+// resumes its decoded checkpoint under a different seed or chunk size.
+// Either change re-slices the cells or re-derives their RNGs, so the
+// journaled summaries no longer belong to the run's chunks: the resume
+// must be refused, not merged into a wrong answer.
+func TestJournalResumeUnderAnotherRunRefused(t *testing.T) {
+	cells, q, plan := recoverCells(t)
+	journal := NewJournal()
+	if _, _, err := NewExec(q, plan, WithJournal(journal),
+		WithFaultInjection(fault.ErrorNth(4))).Execute(context.Background(), cells); err == nil {
+		t.Fatal("expected the crashing run to die")
+	}
+	var buf bytes.Buffer
+	if err := journal.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(*Query, *PhysicalPlan){
+		"seed":            func(q *Query, _ *PhysicalPlan) { q.Seed++ },
+		"chunk size":      func(_ *Query, p *PhysicalPlan) { p.ChunkPoints -= 7 },
+		"seed and chunks": func(q *Query, p *PhysicalPlan) { q.Seed++; p.ChunkPoints -= 7 },
+	}
+	for name, mutate := range cases {
+		restored, err := DecodeJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, plan2 := q, plan
+		mutate(&q2, &plan2)
+		if _, _, err := NewExec(q2, plan2, WithJournal(restored)).
+			Execute(context.Background(), cells); !errors.Is(err, ErrJournalMismatch) {
+			t.Fatalf("%s: resume err = %v, want ErrJournalMismatch", name, err)
+		}
 	}
 }

@@ -108,25 +108,3 @@ func (e *Exec) runReoptMonitor(g *stream.Group, gctx context.Context, st *stream
 		}
 	})
 }
-
-// ExecuteAdaptive runs the plan like Execute but starts the partial
-// operator at plan.PartialClones replicas and lets the re-optimizer add
-// replicas (up to policy.MaxClones) while the chunk queue stays
-// congested. It returns the re-optimization decisions along with the
-// results. Results are identical to Execute's for the same query
-// (per-chunk RNGs are pre-derived; the collective merge is order-
-// insensitive).
-//
-// Deprecated: compose the same behaviour with
-// NewExec(q, plan, WithReopt(policy)).Execute and read
-// ExecStats.ReoptEvents, which also combines with the supervision and
-// journaling options. This wrapper is kept for the engine's own use
-// and tests; scripts/check.sh rejects new callers outside
-// internal/engine.
-func ExecuteAdaptive(ctx context.Context, cells []Cell, q Query, plan PhysicalPlan, policy ReoptPolicy) ([]CellResult, *ExecStats, []ReoptEvent, error) {
-	results, stats, err := NewExec(q, plan, WithReopt(policy)).Execute(ctx, cells)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return results, stats, stats.ReoptEvents, nil
-}

@@ -10,7 +10,7 @@ import (
 	"streamkm/internal/stream"
 )
 
-func TestExecuteAdaptiveMatchesExecute(t *testing.T) {
+func TestReoptMatchesExecute(t *testing.T) {
 	cells := []Cell{
 		{Key: grid.CellKey{Lat: 1, Lon: 1}, Points: engineCell(t, 800, 31)},
 		{Key: grid.CellKey{Lat: 1, Lon: 2}, Points: engineCell(t, 600, 32)},
@@ -21,10 +21,10 @@ func TestExecuteAdaptiveMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, stats, _, err := ExecuteAdaptive(context.Background(), cells, q, plan, ReoptPolicy{
+	adaptive, stats, err := NewExec(q, plan, WithReopt(ReoptPolicy{
 		SampleInterval: time.Millisecond,
 		MaxClones:      4,
-	})
+	})).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +44,21 @@ func TestExecuteAdaptiveMatchesExecute(t *testing.T) {
 	}
 }
 
-func TestExecuteAdaptiveScalesUpUnderBacklog(t *testing.T) {
+func TestReoptScalesUpUnderBacklog(t *testing.T) {
 	// A tiny queue and a slow-ish workload with many chunks keeps the
 	// chunk queue full, so the re-optimizer must add clones.
 	cells := []Cell{{Key: grid.CellKey{}, Points: engineCell(t, 4000, 33)}}
 	q := Query{K: 8, Restarts: 3, Seed: 3}
 	plan := PhysicalPlan{ChunkPoints: 100, PartialClones: 1, QueueCapacity: 2}
-	_, stats, events, err := ExecuteAdaptive(context.Background(), cells, q, plan, ReoptPolicy{
+	_, stats, err := NewExec(q, plan, WithReopt(ReoptPolicy{
 		SampleInterval:   500 * time.Microsecond,
 		SustainedSamples: 1,
 		MaxClones:        4,
-	})
+	})).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := stats.ReoptEvents
 	if len(events) == 0 {
 		t.Fatal("re-optimizer never scaled up despite sustained backlog")
 	}
@@ -77,27 +78,27 @@ func TestExecuteAdaptiveScalesUpUnderBacklog(t *testing.T) {
 	}
 }
 
-func TestExecuteAdaptiveNoScalingWithoutBudget(t *testing.T) {
+func TestReoptNoScalingWithoutBudget(t *testing.T) {
 	cells := []Cell{{Key: grid.CellKey{}, Points: engineCell(t, 1000, 34)}}
 	q := Query{K: 6, Restarts: 2, Seed: 5}
 	plan := PhysicalPlan{ChunkPoints: 100, PartialClones: 1, QueueCapacity: 2}
 	// MaxClones 0/1 means the monitor may never add a clone.
-	_, _, events, err := ExecuteAdaptive(context.Background(), cells, q, plan, ReoptPolicy{
+	_, stats, err := NewExec(q, plan, WithReopt(ReoptPolicy{
 		SampleInterval:   time.Millisecond,
 		SustainedSamples: 1,
 		MaxClones:        1,
-	})
+	})).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 0 {
-		t.Fatalf("scaled despite MaxClones=1: %+v", events)
+	if len(stats.ReoptEvents) != 0 {
+		t.Fatalf("scaled despite MaxClones=1: %+v", stats.ReoptEvents)
 	}
 }
 
-func TestExecuteAdaptiveValidation(t *testing.T) {
-	if _, _, _, err := ExecuteAdaptive(context.Background(), nil,
-		Query{K: 2, Restarts: 1}, PhysicalPlan{ChunkPoints: 10}, ReoptPolicy{}); err == nil {
+func TestReoptValidation(t *testing.T) {
+	if _, _, err := NewExec(Query{K: 2, Restarts: 1}, PhysicalPlan{ChunkPoints: 10},
+		WithReopt(ReoptPolicy{})).Execute(context.Background(), nil); err == nil {
 		t.Fatal("no cells should error")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"streamkm/internal/core"
+	"streamkm/internal/dataset"
 	"streamkm/internal/fault"
 	"streamkm/internal/grid"
 )
@@ -120,15 +121,18 @@ func TestPlanExplainNamesOperator(t *testing.T) {
 func TestJournalOperatorBinding(t *testing.T) {
 	kmeansSpec := core.SummarizerSpec{Name: "kmeans", Params: map[string]string{"k": "5", "restarts": "2"}}
 	coresetSpec := core.SummarizerSpec{Name: "coreset", Params: map[string]string{"m": "40"}}
+	runOf := func(spec core.SummarizerSpec) runIdentity {
+		return runIdentity{operator: spec.Encode(), seed: 7, chunkPoints: 100}
+	}
 
 	j := NewJournal()
-	if err := j.bindOperator(kmeansSpec); err != nil {
+	if err := j.bind(runOf(kmeansSpec)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.bindOperator(kmeansSpec); err != nil {
+	if err := j.bind(runOf(kmeansSpec)); err != nil {
 		t.Fatalf("rebinding the same spec: %v", err)
 	}
-	if err := j.bindOperator(coresetSpec); !errors.Is(err, ErrJournalOperatorMismatch) {
+	if err := j.bind(runOf(coresetSpec)); !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("cross-operator rebind: %v", err)
 	}
 
@@ -137,33 +141,34 @@ func TestJournalOperatorBinding(t *testing.T) {
 	shaped := core.SummarizerSpec{Name: "kmeans", Params: map[string]string{
 		"k": "5", "restarts": "2", "workers": "8", "accel": "true",
 	}}
-	if err := j.bindOperator(shaped); err != nil {
+	if err := j.bind(runOf(shaped)); err != nil {
 		t.Fatalf("shape-only param change refused: %v", err)
 	}
 
 	// But a param that changes the bits must refuse.
 	widened := core.SummarizerSpec{Name: "kmeans", Params: map[string]string{"k": "9", "restarts": "2"}}
-	if err := j.bindOperator(widened); !errors.Is(err, ErrJournalOperatorMismatch) {
+	if err := j.bind(runOf(widened)); !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("k change accepted: %v", err)
 	}
 
-	// A legacy checkpoint decodes to the bare name and accepts any
-	// kmeans spec, upgrading to the full encoding.
-	legacy := NewJournal()
-	legacy.operator = core.SummarizerKMeans
-	if err := legacy.bindOperator(kmeansSpec); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Operator() != kmeansSpec.Encode() {
-		t.Fatalf("legacy journal did not upgrade: %q", legacy.Operator())
+	// So must every other value that fixes the chunks or their RNGs.
+	for name, mutate := range map[string]func(*runIdentity){
+		"seed":       func(r *runIdentity) { r.seed++ },
+		"strategy":   func(r *runIdentity) { r.strategy = dataset.SplitSalami },
+		"chunk size": func(r *runIdentity) { r.chunkPoints-- },
+	} {
+		run := runOf(kmeansSpec)
+		mutate(&run)
+		if err := j.bind(run); !errors.Is(err, ErrJournalMismatch) {
+			t.Fatalf("%s change accepted: %v", name, err)
+		}
 	}
 }
 
-// TestJournalV3RoundTripPreservesOperator checks the new journal
-// version: a non-kmeans journal encodes as v3 carrying the operator
-// record, while a kmeans journal stays on the legacy version so
-// pre-summarizer checkpoints remain byte-identical.
-func TestJournalV3RoundTripPreservesOperator(t *testing.T) {
+// TestJournalV4RoundTripPreservesOperator checks the journal format: a
+// journal encodes as v4 carrying its run record, decodes to the same
+// run, refuses another operator's query and resumes the original one.
+func TestJournalV4RoundTripPreservesOperator(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	q.Summarizer = core.SummarizerCoreset
 	q.CoresetSize = 40
@@ -182,15 +187,15 @@ func TestJournalV3RoundTripPreservesOperator(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if v := int(raw[4]) | int(raw[5])<<8; v != journalVersionV3 {
-		t.Fatalf("coreset journal encoded as version %d", v)
+	if v := int(raw[4]) | int(raw[5])<<8; v != 4 {
+		t.Fatalf("journal encoded as version %d, want 4", v)
 	}
 	restored, err := DecodeJournal(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Operator() != journal.Operator() {
-		t.Fatalf("operator lost in round trip: %q != %q", restored.Operator(), journal.Operator())
+	if restored.run != journal.run {
+		t.Fatalf("run record lost in round trip: %+v != %+v", restored.run, journal.run)
 	}
 	if restored.Chunks() != journal.Chunks() {
 		t.Fatalf("entries lost: %d != %d", restored.Chunks(), journal.Chunks())
@@ -200,7 +205,7 @@ func TestJournalV3RoundTripPreservesOperator(t *testing.T) {
 	mismatched := q
 	mismatched.Summarizer = core.SummarizerKMeans
 	if _, _, err := NewExec(mismatched, plan, WithJournal(restored)).
-		Execute(context.Background(), cells); !errors.Is(err, ErrJournalOperatorMismatch) {
+		Execute(context.Background(), cells); !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("mismatched resume: %v", err)
 	}
 	// ...and accepts the original one.
@@ -209,21 +214,30 @@ func TestJournalV3RoundTripPreservesOperator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The default operator keeps the legacy encoding.
-	kj := NewJournal()
-	kq := q
-	kq.Summarizer = ""
-	kq.CoresetSize = 0
-	if _, _, err := NewExec(kq, plan, WithJournal(kj)).
-		Execute(context.Background(), cells); err != nil {
-		t.Fatal(err)
+	// A journal no run has bound names nothing and does not encode.
+	if err := NewJournal().Encode(&buf); err == nil {
+		t.Fatal("unbound journal encoded")
 	}
-	buf.Reset()
-	if err := kj.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := int(buf.Bytes()[4]) | int(buf.Bytes()[5])<<8; v >= journalVersionV3 {
-		t.Fatalf("kmeans journal escalated to version %d", v)
+}
+
+// TestDecodeJournalRefusesOldVersions pins the refusal of SKMJ v1–v3:
+// they record no seed, strategy or chunk size, so a resume could not
+// tell whether they belong to the run.
+func TestDecodeJournalRefusesOldVersions(t *testing.T) {
+	for v := 1; v <= 3; v++ {
+		// A well-formed v1 body (no entries); v2 adds an empty lease
+		// section, v3 an operator record before the entries.
+		b := append([]byte("SKMJ"), byte(v), 0)
+		if v == 3 {
+			b = append(b, 6, 0, 'k', 'm', 'e', 'a', 'n', 's')
+		}
+		b = append(b, 0, 0, 0, 0)
+		if v >= 2 {
+			b = append(b, 0, 0, 0, 0)
+		}
+		if _, err := DecodeJournal(bytes.NewReader(b)); !errors.Is(err, ErrBadJournal) {
+			t.Fatalf("v%d: err = %v, want ErrBadJournal", v, err)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func TestCancellationUnwindsBlockedPlan(t *testing.T) {
 	q1 := NewQueue[int]("q1", 2)
 	q2 := NewQueue[int]("q2", 2)
 	RunSource(g, gctx, nil, "src", endlessSource(), q1)
-	Map(g, gctx, nil, "id", 2, func(x int) (int, error) { return x, nil }, q1, q2)
+	RunTransform(g, gctx, nil, "id", 2, func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, q1, q2)
 	stuck := make(chan struct{})
 	RunSink(g, gctx, nil, "stuck-sink", 1, func(ctx context.Context, _ int) error {
 		select {
@@ -52,64 +52,13 @@ func TestCancellationUnwindsBlockedPlan(t *testing.T) {
 	}
 }
 
-func TestCancellationUnwindsCombinators(t *testing.T) {
-	builders := map[string]func(g *Group, ctx context.Context, in *Queue[int]){
-		"batch": func(g *Group, ctx context.Context, in *Queue[int]) {
-			out := NewQueue[[]int]("out", 1)
-			if _, err := Batch(g, ctx, nil, "batch", 3, in, out); err != nil {
-				t.Fatal(err)
-			}
-			// no consumer: out fills and Batch blocks
-		},
-		"partition": func(g *Group, ctx context.Context, in *Queue[int]) {
-			outs := []*Queue[int]{NewQueue[int]("o0", 1), NewQueue[int]("o1", 1)}
-			if _, err := Partition(g, ctx, nil, "part", nil, in, outs); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"multicast": func(g *Group, ctx context.Context, in *Queue[int]) {
-			outs := []*Queue[int]{NewQueue[int]("o0", 1), NewQueue[int]("o1", 1)}
-			if _, err := Multicast(g, ctx, nil, "mc", in, outs); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"union": func(g *Group, ctx context.Context, in *Queue[int]) {
-			out := NewQueue[int]("out", 1)
-			if _, err := Union(g, ctx, nil, "union", []*Queue[int]{in}, out); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			g, gctx := NewGroup(ctx)
-			in := NewQueue[int]("in", 2)
-			RunSource(g, gctx, nil, "src", endlessSource(), in)
-			build(g, gctx, in)
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			done := make(chan error, 1)
-			go func() { done <- g.Wait() }()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("Wait = %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s did not unwind on cancellation", name)
-			}
-		})
-	}
-}
-
 func TestDynamicTransformCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g, gctx := NewGroup(ctx)
 	in := NewQueue[int]("in", 2)
 	out := NewQueue[int]("out", 1)
 	RunSource(g, gctx, nil, "src", endlessSource(), in)
-	RunDynamicTransform(g, gctx, nil, "dyn", 2,
+	RunStage(g, gctx, nil, StageConfig[int]{Name: "dyn", Clones: 2},
 		func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, in, out)
 	// no consumer of out
 	time.Sleep(20 * time.Millisecond)

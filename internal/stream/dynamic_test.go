@@ -15,7 +15,7 @@ func TestDynamicTransformBasic(t *testing.T) {
 	in := NewQueue[int]("in", 8)
 	out := NewQueue[int]("out", 8)
 	RunSource(g, ctx, reg, "src", rangeSource(100), in)
-	dt := RunDynamicTransform(g, ctx, reg, "dyn", 2,
+	dt := RunStage(g, ctx, reg, StageConfig[int]{Name: "dyn", Clones: 2},
 		func(_ context.Context, x int, emit Emit[int]) error { return emit(x * 2) }, in, out)
 	sink, snap := Collect[int]()
 	RunSink(g, ctx, reg, "sink", 1, sink, out)
@@ -45,7 +45,7 @@ func TestDynamicTransformInitialFloor(t *testing.T) {
 	in := NewQueue[int]("in", 4)
 	out := NewQueue[int]("out", 4)
 	RunSource(g, ctx, nil, "src", rangeSource(5), in)
-	dt := RunDynamicTransform(g, ctx, nil, "dyn", 0,
+	dt := RunStage(g, ctx, nil, StageConfig[int]{Name: "dyn", Clones: 0},
 		func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, in, out)
 	sink, _ := Collect[int]()
 	RunSink(g, ctx, nil, "sink", 1, sink, out)
@@ -71,7 +71,7 @@ func TestDynamicTransformScalesUpMidRun(t *testing.T) {
 		return emit(x)
 	}
 	RunSource(g, ctx, nil, "src", rangeSource(50), in)
-	dt := RunDynamicTransform(g, ctx, nil, "dyn", 1, fn, in, out)
+	dt := RunStage(g, ctx, nil, StageConfig[int]{Name: "dyn", Clones: 1}, fn, in, out)
 	sink, snap := Collect[int]()
 	RunSink(g, ctx, nil, "sink", 1, sink, out)
 
@@ -110,7 +110,7 @@ func TestDynamicTransformAddCloneAfterDrain(t *testing.T) {
 	in := NewQueue[int]("in", 4)
 	out := NewQueue[int]("out", 4)
 	RunSource(g, ctx, nil, "src", rangeSource(3), in)
-	dt := RunDynamicTransform(g, ctx, nil, "dyn", 1,
+	dt := RunStage(g, ctx, nil, StageConfig[int]{Name: "dyn", Clones: 1},
 		func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, in, out)
 	sink, _ := Collect[int]()
 	RunSink(g, ctx, nil, "sink", 1, sink, out)
@@ -128,7 +128,7 @@ func TestDynamicTransformErrorPropagates(t *testing.T) {
 	out := NewQueue[int]("out", 4)
 	boom := errors.New("bad item")
 	RunSource(g, ctx, nil, "src", rangeSource(100), in)
-	RunDynamicTransform(g, ctx, nil, "dyn", 3,
+	RunStage(g, ctx, nil, StageConfig[int]{Name: "dyn", Clones: 3},
 		func(_ context.Context, x int, emit Emit[int]) error {
 			if x == 5 {
 				return boom

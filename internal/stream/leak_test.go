@@ -37,7 +37,7 @@ func TestPlanLeavesNoGoroutines(t *testing.T) {
 		q1 := NewQueue[int]("a", 4)
 		q2 := NewQueue[int]("b", 4)
 		RunSource(g, ctx, nil, "src", rangeSource(200), q1)
-		Map(g, ctx, nil, "id", 4, func(x int) (int, error) { return x, nil }, q1, q2)
+		RunTransform(g, ctx, nil, "id", 4, func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, q1, q2)
 		sink, _ := Collect[int]()
 		RunSink(g, ctx, nil, "sink", 2, sink, q2)
 		if err := g.Wait(); err != nil {
@@ -97,7 +97,7 @@ func TestCancelledPlanLeavesNoGoroutines(t *testing.T) {
 		q1 := NewQueue[int]("a", 1)
 		q2 := NewQueue[int]("b", 1)
 		RunSource(g, gctx, nil, "src", endlessSource(), q1)
-		dt := RunDynamicTransform(g, gctx, nil, "dyn", 2,
+		dt := RunStage(g, gctx, nil, StageConfig[int]{Name: "dyn", Clones: 2},
 			func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, q1, q2)
 		dt.AddClone()
 		// no consumer: the plan wedges, then gets cancelled

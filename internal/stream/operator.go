@@ -182,7 +182,8 @@ func RunTransform[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, n
 // RunSink starts clones replicas of fn on the group, consuming from in.
 // clones < 1 is treated as 1. reg may be nil.
 func RunSink[I any](g *Group, ctx context.Context, reg *StatsRegistry, name string, clones int, fn SinkFunc[I], in *Queue[I]) *OpStats {
-	return sinkStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, fn, in).Stats()
+	asTransform := func(ctx context.Context, item I, _ Emit[struct{}]) error { return fn(ctx, item) }
+	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, asTransform, in, (*Queue[struct{}])(nil)).Stats()
 }
 
 // Collect is a convenience sink that appends every item into a slice

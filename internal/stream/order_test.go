@@ -16,8 +16,8 @@ func TestSingleClonePreservesOrder(t *testing.T) {
 		q2 := NewQueue[int]("b", 4)
 		q3 := NewQueue[int]("c", 4)
 		RunSource(g, ctx, nil, "src", rangeSource(n), q1)
-		Map(g, ctx, nil, "x2", 1, func(x int) (int, error) { return x * 2, nil }, q1, q2)
-		Filter(g, ctx, nil, "all", 1, func(int) bool { return true }, q2, q3)
+		RunTransform(g, ctx, nil, "x2", 1, func(_ context.Context, x int, emit Emit[int]) error { return emit(x * 2) }, q1, q2)
+		RunTransform(g, ctx, nil, "id", 1, func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, q2, q3)
 		var got []int
 		RunSink(g, ctx, nil, "sink", 1, func(_ context.Context, v int) error {
 			got = append(got, v)
@@ -31,41 +31,6 @@ func TestSingleClonePreservesOrder(t *testing.T) {
 		}
 		for i, v := range got {
 			if v != 2*i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Batch preserves element order across batch boundaries.
-func TestBatchPreservesOrder(t *testing.T) {
-	f := func(nRaw, sizeRaw uint8) bool {
-		n := int(nRaw)%300 + 1
-		size := int(sizeRaw)%20 + 1
-		g, ctx := NewGroup(context.Background())
-		in := NewQueue[int]("in", 8)
-		out := NewQueue[[]int]("out", 8)
-		RunSource(g, ctx, nil, "src", rangeSource(n), in)
-		if _, err := Batch(g, ctx, nil, "batch", size, in, out); err != nil {
-			return false
-		}
-		var flat []int
-		RunSink(g, ctx, nil, "sink", 1, func(_ context.Context, b []int) error {
-			flat = append(flat, b...)
-			return nil
-		}, out)
-		if err := g.Wait(); err != nil {
-			return false
-		}
-		if len(flat) != n {
-			return false
-		}
-		for i, v := range flat {
-			if v != i {
 				return false
 			}
 		}

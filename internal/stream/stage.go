@@ -14,9 +14,14 @@ import (
 // runner mirrors that: supervision (retry/backoff, panic capture,
 // dead-lettering) and dynamic scaling (AddClone while the plan runs)
 // are orthogonal capabilities of the same clone loop, so an adaptive
-// plan can grow replicas of a supervised operator. RunTransform,
-// RunSupervisedTransform, RunDynamicTransform, RunSink, and
-// RunSupervisedSink are all thin wrappers over RunStage.
+// plan can grow replicas of a supervised operator. RunTransform and
+// RunSink are thin wrappers over RunStage.
+//
+// The stage closes structurally: it counts live replicas under its
+// mutex, and the replica that brings the count to zero marks the stage
+// closed, closes Done and closes the output queue. AddClone checks and
+// raises the same count under the same mutex, so a clone can never be
+// added to a stage that has already closed.
 
 // Heartbeat is the liveness hook a stage notifies as its replicas
 // work; the resource governor's stall watchdog samples it. Begin fires
@@ -77,9 +82,9 @@ type Stage[I, O any] struct {
 	mu      sync.Mutex
 	initial int
 	clones  int
-	closed  bool          // input exhausted; no further clones may be added
+	live    int           // replicas still running
+	closed  bool          // every replica returned; no further clones may be added
 	done    chan struct{} // closed together with closed
-	live    sync.WaitGroup
 }
 
 // RunStage starts a stage on the group. A nil out makes it a sink
@@ -104,23 +109,29 @@ func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg S
 		initial: initial,
 		done:    make(chan struct{}),
 	}
+	s.mu.Lock()
 	for i := 0; i < initial; i++ {
 		s.spawnLocked()
 	}
-	// Closer: when the input is exhausted every clone returns; after
-	// the last one, mark closed and propagate end-of-stream.
-	g.Go(cfg.Name+".close", func() error {
-		s.live.Wait()
-		s.mu.Lock()
+	s.mu.Unlock()
+	return s
+}
+
+// replicaDone retires one replica. The last one to return closes the
+// stage: no clone can be added after that, and end-of-stream
+// propagates downstream.
+func (s *Stage[I, O]) replicaDone() {
+	s.mu.Lock()
+	s.live--
+	last := s.live == 0
+	if last {
 		s.closed = true
 		close(s.done)
-		s.mu.Unlock()
-		if s.out != nil {
-			s.out.Close()
-		}
-		return nil
-	})
-	return s
+	}
+	s.mu.Unlock()
+	if last && s.out != nil {
+		s.out.Close()
+	}
 }
 
 // Done returns a channel that is closed once the stage has finished:
@@ -151,8 +162,7 @@ func (s *Stage[I, O]) AddClone() bool {
 	return true
 }
 
-// spawnLocked registers and starts one replica; s.mu must be held (or
-// the stage not yet shared).
+// spawnLocked registers and starts one replica; s.mu must be held.
 func (s *Stage[I, O]) spawnLocked() {
 	idx := s.clones
 	s.clones++
@@ -164,9 +174,9 @@ func (s *Stage[I, O]) spawnLocked() {
 	if !(idx == 0 && s.initial == 1) {
 		cloneName = fmt.Sprintf("%s#%d", s.name, idx)
 	}
-	s.live.Add(1)
+	s.live++
 	s.g.Go(cloneName, func() error {
-		defer s.live.Done()
+		defer s.replicaDone()
 		var buf []O
 		emit := func(v O) error {
 			if err := s.out.Put(s.ctx, v); err != nil {
@@ -222,30 +232,4 @@ func (s *Stage[I, O]) processOne(cloneName string, item I, buf *[]O, emit func(O
 		}
 	}
 	return nil
-}
-
-// sinkStage adapts a SinkFunc and runs it as a stage with no output
-// queue, for the RunSink/RunSupervisedSink wrappers.
-func sinkStage[I any](g *Group, ctx context.Context, reg *StatsRegistry, cfg StageConfig[I], fn SinkFunc[I], in *Queue[I]) *Stage[I, struct{}] {
-	asTransform := func(ctx context.Context, item I, _ Emit[struct{}]) error {
-		return fn(ctx, item)
-	}
-	return RunStage(g, ctx, reg, cfg, asTransform, in, (*Queue[struct{}])(nil))
-}
-
-// RunDynamicTransform starts a stage whose clone count can grow while
-// the plan is running — the mechanism behind dynamic re-optimization
-// (§4: Conquest's re-optimizer adapts long-running queries). The
-// returned handle adds clones at runtime and exposes the aggregate
-// stats. initial < 1 is treated as 1. reg may be nil.
-func RunDynamicTransform[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, name string, initial int, fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *Stage[I, O] {
-	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: initial}, fn, in, out)
-}
-
-// RunSupervisedDynamicTransform is RunDynamicTransform with operator
-// supervision (see StageConfig.Sup): every replica — including ones
-// added later by the re-optimizer — recovers panics, retries per the
-// policy, and quarantines poison items. sup may be nil.
-func RunSupervisedDynamicTransform[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, name string, initial int, sup *Supervisor[I], fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *Stage[I, O] {
-	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: initial, Sup: sup}, fn, in, out)
 }

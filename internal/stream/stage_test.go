@@ -22,7 +22,7 @@ func TestStageSupervisedAndDynamicCompose(t *testing.T) {
 	var started atomic.Int32
 	var failedOnce atomic.Bool
 	// Each item fails its first attempt; clone 0 blocks until released
-	// so added clones observably share the load. Supervision must
+	// so added clones observably share the load. Supervised stages must
 	// retry on every replica, including ones added after start.
 	fn := func(_ context.Context, x int, emit Emit[int]) error {
 		if x == 7 && !failedOnce.Swap(true) {
@@ -141,8 +141,8 @@ func TestSinkStageAddCloneAfterDrain(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
 	in := NewQueue[int]("in", 4)
 	RunSource(g, ctx, nil, "src", rangeSource(3), in)
-	st := sinkStage(g, ctx, nil, StageConfig[int]{Name: "sink", Clones: 2},
-		func(context.Context, int) error { return nil }, in)
+	st := RunStage(g, ctx, nil, StageConfig[int]{Name: "sink", Clones: 2},
+		func(context.Context, int, Emit[struct{}]) error { return nil }, in, (*Queue[struct{}])(nil))
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +151,37 @@ func TestSinkStageAddCloneAfterDrain(t *testing.T) {
 	}
 	if st.Stats().Processed() != 3 {
 		t.Fatalf("processed = %d, want 3", st.Stats().Processed())
+	}
+}
+
+// TestAddCloneRacesStageClose races the re-optimizer's scale-up
+// primitive against a one-clone stage that is draining its last item.
+// A clone must either join before the last replica returns or be
+// refused; it must never slip in while the stage closes.
+func TestAddCloneRacesStageClose(t *testing.T) {
+	for round := 0; round < 2000; round++ {
+		g, ctx := NewGroup(context.Background())
+		in := NewQueue[int]("in", 1)
+		out := NewQueue[int]("out", 4)
+		RunSource(g, ctx, nil, "src", rangeSource(1), in)
+		st := RunStage(g, ctx, nil, StageConfig[int]{Name: "drain"},
+			func(_ context.Context, x int, emit Emit[int]) error { return emit(x) }, in, out)
+		RunSink(g, ctx, nil, "sink", 1, func(context.Context, int) error { return nil }, out)
+		g.Go("scaler", func() error {
+			for i := 0; i < 64 && st.AddClone(); i++ {
+			}
+			return nil
+		})
+		if err := g.Wait(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		select {
+		case <-st.Done():
+		default:
+			t.Fatalf("round %d: stage not done after Wait", round)
+		}
+		if st.AddClone() {
+			t.Fatalf("round %d: AddClone succeeded on a closed stage", round)
+		}
 	}
 }

@@ -297,19 +297,3 @@ func superviseItem[I, O any](ctx context.Context, op string, sup *Supervisor[I],
 	}
 	return false, nil
 }
-
-// RunSupervisedTransform starts clones replicas of fn like RunTransform,
-// but under supervision: panics become typed errors, failing items are
-// retried per the policy, and poison items are quarantined to the DLQ
-// (when configured) instead of cancelling the plan. Emissions of a
-// failing attempt are discarded, so retries never duplicate output.
-// A nil supervisor degrades to RunTransform semantics.
-func RunSupervisedTransform[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, name string, clones int, sup *Supervisor[I], fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *OpStats {
-	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones, Sup: sup}, fn, in, out).Stats()
-}
-
-// RunSupervisedSink starts clones replicas of fn like RunSink, under the
-// same supervision semantics as RunSupervisedTransform.
-func RunSupervisedSink[I any](g *Group, ctx context.Context, reg *StatsRegistry, name string, clones int, sup *Supervisor[I], fn SinkFunc[I], in *Queue[I]) *OpStats {
-	return sinkStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones, Sup: sup}, fn, in).Stats()
-}

@@ -26,7 +26,7 @@ func runSupervisedInts(t *testing.T, sup *Supervisor[int], clones int, fn Transf
 		}
 		return nil
 	}, in)
-	stats := RunSupervisedTransform(g, ctx, reg, "work", clones, sup, fn, in, out)
+	stats := RunStage(g, ctx, reg, StageConfig[int]{Name: "work", Clones: clones, Sup: sup}, fn, in, out).Stats()
 	sink, snapshot := Collect[int]()
 	RunSink(g, ctx, reg, "sink", 1, sink, out)
 	err := g.Wait()
@@ -215,9 +215,9 @@ func TestSupervisedDoesNotRetryCancellation(t *testing.T) {
 	RunSource(g, gctx, reg, "src", func(_ context.Context, emit Emit[int]) error {
 		return emit(1)
 	}, in)
-	stats := RunSupervisedTransform(g, gctx, reg, "work", 1, &Supervisor[int]{
+	stats := RunStage(g, gctx, reg, StageConfig[int]{Name: "work", Sup: &Supervisor[int]{
 		Retry: RetryPolicy{MaxRetries: 100, BaseBackoff: time.Hour},
-	}, fn, in, out)
+	}}, fn, in, out).Stats()
 	RunSink(g, gctx, reg, "sink", 1, func(context.Context, int) error { return nil }, out)
 	<-started
 	cancel()
@@ -244,10 +244,10 @@ func TestSupervisedSinkQuarantines(t *testing.T) {
 	var kept []int
 	var mu sync.Mutex
 	dlq := NewDeadLetterQueue[int](4)
-	stats := RunSupervisedSink(g, ctx, reg, "sink", 1, &Supervisor[int]{
+	stats := RunStage(g, ctx, reg, StageConfig[int]{Name: "sink", Sup: &Supervisor[int]{
 		Retry: RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond},
 		DLQ:   dlq,
-	}, func(_ context.Context, v int) error {
+	}}, func(_ context.Context, v int, _ Emit[struct{}]) error {
 		if v == 2 {
 			return errors.New("poison")
 		}
@@ -255,7 +255,7 @@ func TestSupervisedSinkQuarantines(t *testing.T) {
 		kept = append(kept, v)
 		mu.Unlock()
 		return nil
-	}, in)
+	}, in, (*Queue[struct{}])(nil)).Stats()
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +287,9 @@ func TestSupervisedDynamicTransformRetries(t *testing.T) {
 		}
 		return nil
 	}, in)
-	dt := RunSupervisedDynamicTransform(g, ctx, reg, "work", 1, &Supervisor[int]{
+	dt := RunStage(g, ctx, reg, StageConfig[int]{Name: "work", Sup: &Supervisor[int]{
 		Retry: RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond},
-	}, fn, in, out)
+	}}, fn, in, out)
 	sink, snapshot := Collect[int]()
 	RunSink(g, ctx, reg, "sink", 1, sink, out)
 	dt.AddClone()

@@ -1,30 +1,10 @@
 #!/bin/sh
-# Full pre-merge check: forbidden-API scan, vet, build, and the
-# complete test suite under the race detector. Slower than the tier-1
-# verify in ROADMAP.md (go build ./... && go test ./...) but catches
-# data races in the pipelined/supervised executors that a plain
-# `go test` can miss.
+# Full pre-merge check: gofmt, vet, build, and the complete test suite
+# under the race detector. Slower than the tier-1 verify in ROADMAP.md
+# (go build ./... && go test ./...) but catches data races in the
+# pipelined/supervised executor that a plain `go test` can miss.
 set -eux
 cd "$(dirname "$0")/.."
-
-# The legacy executors survive only as deprecated wrappers for old
-# callers; new code must compose engine.NewExec options instead
-# (docs/ARCHITECTURE.md). Fail if anything outside internal/engine
-# calls them.
-if grep -rn --include='*.go' -E 'engine\.Execute(Supervised|Adaptive)\(' . \
-    | grep -v '^\./internal/engine/'; then
-  echo "error: ExecuteSupervised/ExecuteAdaptive are deprecated outside internal/engine; use engine.NewExec with options" >&2
-  exit 1
-fi
-
-# ClusterECVQ survives only as a deprecated wrapper; every caller must
-# select operators through the summarizer contract instead
-# (Options.Summarizer = "ecvq", or core.NewSummarizer for raw specs).
-if grep -rn --include='*.go' -E 'core\.ClusterECVQ\(' . \
-    | grep -v '^\./internal/core/'; then
-  echo "error: core.ClusterECVQ is deprecated outside internal/core; set Options.Summarizer = core.SummarizerECVQ instead" >&2
-  exit 1
-fi
 
 # Formatting gate: the tree must be gofmt-clean (CI enforces the same
 # gate in its tier-1 job).
@@ -47,6 +27,13 @@ go test -race ./...
 # hang into a failure instead of a stuck CI job.
 go test -race -run 'TestGovernorStallSoak' -count=1 -timeout 120s ./internal/engine
 
+# Engine stress: the composed and re-optimizing paths 200 times under
+# the race detector. The re-optimizer adds partial-operator clones while
+# stages drain, so this is where a stage-close race or a goroutine that
+# outlives its plan shows up. The explicit -timeout turns a hang into a
+# failure.
+go test -race -run 'TestComposed|TestReopt' -count=200 -timeout 300s ./internal/engine
+
 # Fuzz smoke: a few seconds per decoder target so a regression that
 # panics on malformed input fails the check without a long campaign.
 # Bucket v2 is also the distributed runtime's wire format for chunk
@@ -56,6 +43,10 @@ go test -run='^$' -fuzz='^FuzzSalvageBucket$' -fuzztime=5s ./internal/grid
 # Checkpoint decoders (SKMC v1 stream + v2 windowed) guard the serving
 # daemon's recovery path; the committed corpus pins both versions.
 go test -run='^$' -fuzz='^FuzzCheckpoint$' -fuzztime=5s .
+# Execution-journal decoder (SKMJ v4): a checkpoint may come from
+# another process or machine; the committed corpus pins a v4 journal
+# with an operator record and leases.
+go test -run='^$' -fuzz='^FuzzDecodeJournal$' -fuzztime=5s ./internal/engine
 # The bounded Lloyd sweep must stay bit-identical to full scans on
 # arbitrary inputs (ties, NaN/Inf, overflow); the committed corpus pins
 # the cases that broke earlier variants of the bound test.

@@ -2,15 +2,14 @@ package streamkm
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"streamkm/internal/core"
 	"streamkm/internal/dataset"
+	"streamkm/internal/engine"
 	"streamkm/internal/fault"
-	"streamkm/internal/kmeans"
-	"streamkm/internal/rng"
 	"streamkm/internal/stream"
 )
 
@@ -86,159 +85,74 @@ func TestStreamClustererHeapStaysBounded(t *testing.T) {
 		peakGrowth>>10, n, res.Partitions)
 }
 
-// TestFaultInjectedWindowedSoak drives a long windowed-clustering
-// pipeline built from the stream primitives — source, Batch, a
-// supervised partial-k-means operator, and a windowing sink — while a
-// deterministic injector fails roughly 1% of operator invocations (plus
-// one guaranteed kill). The supervisor must absorb every fault through
-// retries, and because each chunk's RNG is pre-derived and copied per
-// attempt, the final merged window must be bit-identical to a fault-free
-// run. Run under -race this also shakes out supervision data races.
+// TestFaultInjectedWindowedSoak drives a long supervised engine run —
+// 60 000 points in 120 chunks through three partial-operator clones —
+// while a deterministic injector fails roughly 1% of operator
+// invocations (plus one guaranteed kill). The supervisor must absorb
+// every fault through retries, and because each chunk's RNG is
+// pre-derived and copied per attempt, the merged answer must be
+// bit-identical to a fault-free run. Run under -race this also shakes
+// out supervision data races. (The name predates the engine, when the
+// soak merged a window of hand-built chunk summaries.)
 func TestFaultInjectedWindowedSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	const (
-		n      = 60_000
-		dim    = 4
-		chunk  = 500 // 120 chunks
-		window = 16  // merge the last 16 chunk summaries
-		k      = 8
+		n     = 60_000
+		dim   = 4
+		chunk = 500 // 120 chunks
+		k     = 8
 	)
-	total := n / chunk
-
-	type chunkItem struct {
-		idx int
-		pts [][]float64
+	points, err := dataset.NewSet(dim)
+	if err != nil {
+		t.Fatal(err)
 	}
-	type partialItem struct {
-		idx int
-		ws  *dataset.WeightedSet
-	}
-
-	runPipeline := func(inj *fault.Injector) (*core.MergeResult, *stream.StatsRegistry) {
-		t.Helper()
-		master := rng.New(99)
-		chunkRNGs := make([]*rng.RNG, total)
-		for i := range chunkRNGs {
-			chunkRNGs[i] = master.Split()
+	state := uint64(13)
+	for i := 0; i < n; i++ {
+		p := make([]float64, dim)
+		for d := range p {
+			state = state*6364136223846793005 + 1442695040888963407
+			p[d] = float64(state>>11)/(1<<53)*100 - 50
 		}
-		mergeRNG := master.Split()
-
-		g, ctx := stream.NewGroup(context.Background())
-		reg := stream.NewStatsRegistry()
-		pointQ := stream.NewQueue[[]float64]("points", 256)
-		batchQ := stream.NewQueue[[][]float64]("batches", 4)
-		chunkQ := stream.NewQueue[chunkItem]("chunks", 4)
-		partQ := stream.NewQueue[partialItem]("partials", 4)
-
-		stream.RunSource(g, ctx, reg, "scan", func(_ context.Context, emit stream.Emit[[]float64]) error {
-			state := uint64(13)
-			for i := 0; i < n; i++ {
-				p := make([]float64, dim)
-				for d := range p {
-					state = state*6364136223846793005 + 1442695040888963407
-					p[d] = float64(state>>11)/(1<<53)*100 - 50
-				}
-				if err := emit(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, pointQ)
-		if _, err := stream.Batch(g, ctx, reg, "batch", chunk, pointQ, batchQ); err != nil {
+		if err := points.Add(p); err != nil {
 			t.Fatal(err)
 		}
-		// Single-clone indexer: batches arrive in order, so the running
-		// counter is the chunk index that selects the pre-derived RNG.
-		idx := 0
-		stream.RunTransform(g, ctx, reg, "index", 1,
-			func(_ context.Context, b [][]float64, emit stream.Emit[chunkItem]) error {
-				item := chunkItem{idx: idx, pts: b}
-				idx++
-				return emit(item)
-			}, batchQ, chunkQ)
-		stream.RunSupervisedTransform(g, ctx, reg, "partial-kmeans", 3,
-			&stream.Supervisor[chunkItem]{
-				Retry:      stream.RetryPolicy{MaxRetries: 50, BaseBackoff: time.Microsecond, Jitter: 0.5},
-				JitterSeed: 99,
-			},
-			func(_ context.Context, c chunkItem, emit stream.Emit[partialItem]) error {
-				if err := inj.Invoke("partial-kmeans"); err != nil {
-					return err
-				}
-				set, err := dataset.NewSet(dim)
-				if err != nil {
-					return err
-				}
-				for _, p := range c.pts {
-					if err := set.Add(p); err != nil {
-						return err
-					}
-				}
-				attemptRNG := *chunkRNGs[c.idx]
-				pr, err := core.PartialKMeans(set, core.PartialConfig{K: k, Restarts: 2}, &attemptRNG)
-				if err != nil {
-					return err
-				}
-				return emit(partialItem{idx: c.idx, ws: pr.Centroids})
-			}, chunkQ, partQ)
-		summaries := make([]*dataset.WeightedSet, total)
-		stream.RunSink(g, ctx, reg, "window", 1, func(_ context.Context, p partialItem) error {
-			summaries[p.idx] = p.ws
-			return nil
-		}, partQ)
-		if err := g.Wait(); err != nil {
-			t.Fatalf("pipeline failed despite supervision: %v", err)
-		}
-
-		// The live window is the last `window` chunk summaries.
-		parts := make([]*dataset.WeightedSet, 0, window)
-		for i := total - window; i < total; i++ {
-			if summaries[i] == nil {
-				t.Fatalf("chunk %d summary missing", i)
-			}
-			parts = append(parts, summaries[i])
-		}
-		attemptRNG := *mergeRNG
-		mr, err := core.MergeKMeans(parts, core.MergeConfig{K: k, Seeder: kmeans.HeaviestSeeder{}}, &attemptRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mr, reg
 	}
+	cells := []engine.Cell{{Points: points}}
+	q := engine.Query{K: k, Restarts: 2, Seed: 99}
+	plan := engine.PhysicalPlan{ChunkPoints: chunk, PartialClones: 3, QueueCapacity: 4}
 
 	// ~1% error rate plus a guaranteed kill of invocation 30, so the run
 	// exercises supervision even if the rate draws come up clean.
 	inj := fault.New(fault.Config{Seed: 7, ErrorRate: 0.01, PanicRate: 0.002, ErrorNth: 30})
-	faulty, reg := runPipeline(inj)
-	clean, _ := runPipeline(nil)
+	faulty, stats, err := engine.NewExec(q, plan,
+		engine.WithRetry(stream.RetryPolicy{MaxRetries: 50, BaseBackoff: time.Microsecond, Jitter: 0.5}),
+		engine.WithFaultInjection(inj)).Execute(context.Background(), cells)
+	if err != nil {
+		t.Fatalf("run failed despite supervision: %v", err)
+	}
+	clean, _, err := engine.Execute(context.Background(), cells, q, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if inj.Faults() == 0 {
 		t.Fatal("injector never fired")
 	}
-	op := reg.Lookup("partial-kmeans")
+	op := stats.Registry.Lookup("partial-kmeans")
 	if op == nil || op.Retries() == 0 {
 		t.Fatal("supervision recorded no retries")
 	}
 	t.Logf("absorbed %d injected faults (%d panics) with %d retries",
 		inj.Faults(), inj.Panics(), op.Retries())
 
-	if len(faulty.Centroids) != len(clean.Centroids) {
-		t.Fatalf("centroid counts differ: %d != %d", len(faulty.Centroids), len(clean.Centroids))
+	f, c := faulty[0].Result, clean[0].Result
+	if faulty[0].Partitions != n/chunk {
+		t.Fatalf("partitions = %d, want %d", faulty[0].Partitions, n/chunk)
 	}
-	for i := range clean.Centroids {
-		if faulty.Weights[i] != clean.Weights[i] {
-			t.Fatalf("centroid %d: weight %v != %v", i, faulty.Weights[i], clean.Weights[i])
-		}
-		for d := range clean.Centroids[i] {
-			if faulty.Centroids[i][d] != clean.Centroids[i][d] {
-				t.Fatalf("centroid %d dim %d: %v != %v",
-					i, d, faulty.Centroids[i][d], clean.Centroids[i][d])
-			}
-		}
-	}
-	if faulty.MSE != clean.MSE {
-		t.Fatalf("MSE %v != %v", faulty.MSE, clean.MSE)
+	if !reflect.DeepEqual(f.Centroids, c.Centroids) || !reflect.DeepEqual(f.Weights, c.Weights) || f.MSE != c.MSE {
+		t.Fatalf("faulty run differs from the clean run:\n%v %v %v\n%v %v %v",
+			f.Centroids, f.Weights, f.MSE, c.Centroids, c.Weights, c.MSE)
 	}
 }

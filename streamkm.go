@@ -37,7 +37,8 @@ type Options struct {
 	// per chunk) instead of a fixed count.
 	ChunkPoints int
 	// Parallelism is the number of partial-operator clones used by
-	// ClusterContext (0 = 1).
+	// ClusterContext and ClusterGoverned (0 = 1). It never changes the
+	// answer.
 	Parallelism int
 	// Workers, when >= 2, fans each partial step's Restarts across that
 	// many goroutines. Orthogonal to Parallelism (which spreads chunks
@@ -193,8 +194,9 @@ type Result struct {
 	Degraded *Degraded
 	// Report is the engine's unified observability report — per-stage
 	// counters, latency histograms, governor decisions — rendered as a
-	// schema-stable document (obs.ReportSchema). Only ClusterGoverned
-	// sets it: the other entry points bypass the instrumented engine.
+	// schema-stable document (obs.ReportSchema). ClusterContext and
+	// ClusterGoverned set it; Cluster and the streaming clusterers
+	// bypass the instrumented engine.
 	Report *obs.Report
 }
 
@@ -272,7 +274,6 @@ func (o Options) toCore() (core.Options, error) {
 		Epsilon:       o.Epsilon,
 		MaxIterations: o.MaxIterations,
 		Seed:          o.Seed,
-		Parallelism:   o.Parallelism,
 		Accelerate:    o.Accelerate,
 		Workers:       o.Workers,
 		Summarizer:    o.Summarizer,
@@ -349,23 +350,15 @@ func Cluster(points [][]float64, opts Options) (*Result, error) {
 	return fromCore(res), nil
 }
 
-// ClusterContext runs partial/merge k-means with Parallelism cloned
-// partial operators on a stream plan, honoring ctx cancellation. The
-// result is identical to Cluster for the same Options.
+// ClusterContext runs partial/merge k-means on the query engine with
+// Parallelism cloned partial operators, honoring ctx cancellation. It
+// applies none of the governor fields (Deadline, ProgressTimeout,
+// MemoryBudget, AllowDegraded, Retry, RemoteWorkers); ClusterGoverned
+// does. The result equals Cluster's bit for bit whenever the
+// partitioning matches (see ClusterGoverned), and Result.Report carries
+// the engine's run report.
 func ClusterContext(ctx context.Context, points [][]float64, opts Options) (*Result, error) {
-	copts, err := opts.toCore()
-	if err != nil {
-		return nil, err
-	}
-	set, err := toSet(points)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.ClusterParallel(ctx, set, copts)
-	if err != nil {
-		return nil, err
-	}
-	return fromCore(res), nil
+	return clusterOnEngine(ctx, points, opts, false)
 }
 
 // ClusterGoverned runs partial/merge k-means through the query engine
@@ -373,11 +366,26 @@ func ClusterContext(ctx context.Context, points [][]float64, opts Options) (*Res
 // MemoryBudget bound the run's time, liveness, and memory, and
 // AllowDegraded lets it return a typed partial result instead of an
 // error when a bound is hit (see Result.Degraded). Options.Retry
-// supervises individual partitions. For a fixed Seed and fixed budgets
-// the result is deterministic; it is computed by the engine's pipelined
-// executor, so it is not guaranteed to equal Cluster's output for the
-// same Options.
+// supervises individual partitions and RemoteWorkers ships them to
+// streamkm-worker processes.
+//
+// The engine slices and seeds a cell exactly as Cluster does, so for
+// the same Options a complete run equals Cluster's output bit for bit,
+// as long as the partitioning matches: ChunkPoints is used as is, and
+// Splits p becomes a budget of ⌈N/p⌉ points per chunk. That budget
+// cuts exactly p chunks when N ≥ p(p−1); below that it can cut fewer
+// (N = 81, p = 10 cuts 9 chunks of at most 9 points where Cluster cuts
+// 10). A MemoryBudget that shrinks the chunk size changes the
+// partitioning too; the refit is recorded in Result.Report. As in
+// Cluster, a chunk smaller than K fails the run.
 func ClusterGoverned(ctx context.Context, points [][]float64, opts Options) (*Result, error) {
+	return clusterOnEngine(ctx, points, opts, true)
+}
+
+// clusterOnEngine is the engine body behind ClusterContext and
+// ClusterGoverned: one cell, one plan, and the governor options only
+// when governed is set.
+func clusterOnEngine(ctx context.Context, points [][]float64, opts Options, governed bool) (*Result, error) {
 	copts, err := opts.toCore()
 	if err != nil {
 		return nil, err
@@ -388,20 +396,9 @@ func ClusterGoverned(ctx context.Context, points [][]float64, opts Options) (*Re
 	}
 	chunk := copts.ChunkPoints
 	if chunk <= 0 {
-		// Splits p expresses the same partitioning as a per-chunk budget.
 		chunk = (set.Len() + copts.Splits - 1) / copts.Splits
 	}
-	if chunk < copts.K {
-		chunk = copts.K
-	}
-	clones := opts.Parallelism
-	if clones < 1 {
-		clones = 1
-	}
-	queueCap := 2 * clones
-	if queueCap < 4 {
-		queueCap = 4
-	}
+	clones := max(opts.Parallelism, 1)
 	q := engine.Query{
 		K:             copts.K,
 		Restarts:      copts.Restarts,
@@ -422,43 +419,46 @@ func ClusterGoverned(ctx context.Context, points [][]float64, opts Options) (*Re
 	plan := engine.PhysicalPlan{
 		ChunkPoints:   chunk,
 		PartialClones: clones,
-		QueueCapacity: queueCap,
-		Rationale:     "facade governed run",
+		QueueCapacity: max(2*clones, 4),
+		Rationale:     "facade run",
 	}
-	eopts := []engine.ExecOption{engine.WithBudget(govern.Budget{
-		Deadline:        opts.Deadline,
-		ProgressTimeout: opts.ProgressTimeout,
-		MemoryBytes:     opts.MemoryBudget,
-	})}
-	if opts.Retry != nil {
-		eopts = append(eopts, engine.WithRetry(opts.Retry.stream()))
-	}
-	if opts.AllowDegraded {
-		eopts = append(eopts, engine.WithDegradedResults())
-	}
-	if opts.inject != nil {
-		eopts = append(eopts, engine.WithFaultInjection(opts.inject))
-	}
-	if len(opts.RemoteWorkers) > 0 {
-		// One registry shared by the pool and the engine, so the run
-		// report carries the per-worker dist_* families too.
-		reg := obs.NewRegistry()
-		poolRetry := stream.RetryPolicy{MaxRetries: len(opts.RemoteWorkers)}
-		if opts.Retry != nil {
-			poolRetry = opts.Retry.stream()
-		}
-		pool, err := dist.NewPool(ctx, dist.PoolConfig{
-			Addrs:           opts.RemoteWorkers,
-			Retry:           poolRetry,
+	var eopts []engine.ExecOption
+	if governed {
+		eopts = append(eopts, engine.WithBudget(govern.Budget{
+			Deadline:        opts.Deadline,
 			ProgressTimeout: opts.ProgressTimeout,
-			Seed:            copts.Seed,
-			Obs:             reg,
-		})
-		if err != nil {
-			return nil, err
+			MemoryBytes:     opts.MemoryBudget,
+		}))
+		if opts.Retry != nil {
+			eopts = append(eopts, engine.WithRetry(opts.Retry.stream()))
 		}
-		defer pool.Close()
-		eopts = append(eopts, engine.WithRemoteWorkers(pool), engine.WithObserver(reg))
+		if opts.AllowDegraded {
+			eopts = append(eopts, engine.WithDegradedResults())
+		}
+		if opts.inject != nil {
+			eopts = append(eopts, engine.WithFaultInjection(opts.inject))
+		}
+		if len(opts.RemoteWorkers) > 0 {
+			// One registry shared by the pool and the engine, so the run
+			// report carries the per-worker dist_* families too.
+			reg := obs.NewRegistry()
+			poolRetry := stream.RetryPolicy{MaxRetries: len(opts.RemoteWorkers)}
+			if opts.Retry != nil {
+				poolRetry = opts.Retry.stream()
+			}
+			pool, err := dist.NewPool(ctx, dist.PoolConfig{
+				Addrs:           opts.RemoteWorkers,
+				Retry:           poolRetry,
+				ProgressTimeout: opts.ProgressTimeout,
+				Seed:            copts.Seed,
+				Obs:             reg,
+			})
+			if err != nil {
+				return nil, err
+			}
+			defer pool.Close()
+			eopts = append(eopts, engine.WithRemoteWorkers(pool), engine.WithObserver(reg))
+		}
 	}
 	cells := []engine.Cell{{Key: grid.CellKey{}, Points: set}}
 	results, stats, err := engine.NewExec(q, plan, eopts...).Execute(ctx, cells)
@@ -470,20 +470,16 @@ func ClusterGoverned(ctx context.Context, points [][]float64, opts Options) (*Re
 		return nil, fmt.Errorf("streamkm: %s: every partition was lost", stats.Degraded)
 	}
 	r := results[0]
-	out := &Result{
+	out := fromCore(&core.Result{
+		Centroids:   r.Result.Centroids,
 		Weights:     r.Result.Weights,
 		MergeMSE:    r.Result.MSE,
 		PointMSE:    r.PointMSE,
-		HasPointMSE: true,
 		Partitions:  r.Partitions,
 		PartialTime: r.PartialTime,
 		MergeTime:   r.Result.Elapsed,
 		Elapsed:     stats.Elapsed,
-	}
-	out.Centroids = make([][]float64, len(r.Result.Centroids))
-	for i, c := range r.Result.Centroids {
-		out.Centroids[i] = c
-	}
+	})
 	out.Report = stats.Report()
 	if rep := stats.Degraded; rep != nil {
 		out.Degraded = &Degraded{
