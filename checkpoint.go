@@ -13,7 +13,6 @@ import (
 
 	"streamkm/internal/core"
 	"streamkm/internal/dataset"
-	"streamkm/internal/rng"
 	"streamkm/internal/vector"
 )
 
@@ -89,16 +88,20 @@ func (s *StreamClusterer) Checkpoint(w io.Writer) error {
 // encodeBody writes the version-1 stream body (everything after the
 // version field).
 func (s *StreamClusterer) encodeBody(bw *bufio.Writer) error {
+	st, err := s.chunks.State()
+	if err != nil {
+		return err
+	}
 	for _, v := range []any{
-		uint16(s.dim),
-		uint64(s.pushed),
+		uint16(st.Tail.Dim()),
+		uint64(st.Consumed),
 		int64(s.partialT),
 	} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
-	if err := writeRNGState(bw, s.rng); err != nil {
+	if err := writeRNGState(bw, st.RNGState); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.parts))); err != nil {
@@ -109,7 +112,7 @@ func (s *StreamClusterer) encodeBody(bw *bufio.Writer) error {
 			return err
 		}
 	}
-	return dataset.EncodeWeightedSet(bw, dataset.Unweighted(s.buffer))
+	return dataset.EncodeWeightedSet(bw, dataset.Unweighted(st.Tail))
 }
 
 // Checkpoint serializes the windowed clusterer's state — the window
@@ -179,10 +182,7 @@ func encodeWindowedBody(bw *bufio.Writer, dim int, st *core.WindowState) error {
 			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(st.RNGState))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(st.RNGState); err != nil {
+	if err := writeRNGState(bw, st.RNGState); err != nil {
 		return err
 	}
 	for _, v := range []int64{
@@ -201,7 +201,7 @@ func encodeWindowedBody(bw *bufio.Writer, dim int, st *core.WindowState) error {
 			return err
 		}
 	}
-	if err := dataset.EncodeWeightedSet(bw, dataset.Unweighted(st.Buffer)); err != nil {
+	if err := dataset.EncodeWeightedSet(bw, dataset.Unweighted(st.Tail)); err != nil {
 		return err
 	}
 	if st.Base == nil {
@@ -327,7 +327,7 @@ func decodeStreamBody(br *bufio.Reader, opts Options) (*StreamClusterer, error) 
 	if err := binary.Read(br, binary.LittleEndian, &partialT); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	restored, err := readRNGState(br)
+	rngState, err := readRNGState(br)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +336,6 @@ func decodeStreamBody(br *bufio.Reader, opts Options) (*StreamClusterer, error) 
 	if err != nil {
 		return nil, err
 	}
-	sc.rng = restored
-	sc.pushed = int(pushed)
 	sc.partialT = time.Duration(partialT)
 
 	var nParts uint32
@@ -359,11 +357,13 @@ func decodeStreamBody(br *bufio.Reader, opts Options) (*StreamClusterer, error) 
 		}
 		sc.parts = append(sc.parts, part)
 	}
-	buffer, err := decodeUnweightedBuffer(br, int(dim))
+	tail, err := decodeUnweightedBuffer(br)
 	if err != nil {
 		return nil, err
 	}
-	sc.buffer = buffer
+	if err := sc.chunks.Restore(core.ChunkState{Consumed: int(pushed), RNGState: rngState, Tail: tail}); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
 	return sc, nil
 }
 
@@ -384,18 +384,14 @@ func decodeWindowedBody(br *bufio.Reader, opts WindowedOptions) (*WindowedCluste
 	if consumed > math.MaxInt32 || expired > consumed || rotations > consumed {
 		return nil, fmt.Errorf("%w: implausible counters consumed=%d expired=%d rotations=%d", ErrBadCheckpoint, consumed, expired, rotations)
 	}
-	rngRestored, err := readRNGState(br)
+	rngState, err := readRNGState(br)
 	if err != nil {
 		return nil, err
 	}
 	st := &core.WindowState{
-		Consumed:  int(consumed),
-		Expired:   int(expired),
-		Rotations: int(rotations),
-	}
-	st.RNGState, err = rngRestored.MarshalBinary()
-	if err != nil {
-		return nil, err
+		ChunkState: core.ChunkState{Consumed: int(consumed), RNGState: rngState},
+		Expired:    int(expired),
+		Rotations:  int(rotations),
 	}
 	for _, v := range []*int64{
 		&st.Stats.Queries, &st.Stats.CacheHits, &st.Stats.WarmStarts,
@@ -425,8 +421,7 @@ func decodeWindowedBody(br *bufio.Reader, opts WindowedOptions) (*WindowedCluste
 		}
 		st.Summaries = append(st.Summaries, s)
 	}
-	st.Buffer, err = decodeUnweightedBuffer(br, int(dim))
-	if err != nil {
+	if st.Tail, err = decodeUnweightedBuffer(br); err != nil {
 		return nil, err
 	}
 	var hasBase uint8
@@ -481,22 +476,19 @@ func decodeWindowedBody(br *bufio.Reader, opts WindowedOptions) (*WindowedCluste
 	return w, nil
 }
 
-// writeRNGState serializes the generator with a length prefix.
-func writeRNGState(bw *bufio.Writer, r *rng.RNG) error {
-	state, err := r.MarshalBinary()
-	if err != nil {
-		return err
-	}
+// writeRNGState writes a serialized generator with a length prefix.
+func writeRNGState(bw *bufio.Writer, state []byte) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint16(len(state))); err != nil {
 		return err
 	}
-	_, err = bw.Write(state)
+	_, err := bw.Write(state)
 	return err
 }
 
-// readRNGState decodes a length-prefixed generator state. The length is
-// a uint16, so the read is bounded by construction.
-func readRNGState(br *bufio.Reader) (*rng.RNG, error) {
+// readRNGState reads a length-prefixed generator state; the chunk
+// stream's restore validates it. The length is a uint16, so the read is
+// bounded by construction.
+func readRNGState(br *bufio.Reader) ([]byte, error) {
 	var stateLen uint16
 	if err := binary.Read(br, binary.LittleEndian, &stateLen); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
@@ -505,31 +497,20 @@ func readRNGState(br *bufio.Reader) (*rng.RNG, error) {
 	if _, err := io.ReadFull(br, state); err != nil {
 		return nil, fmt.Errorf("%w: truncated rng state: %v", ErrBadCheckpoint, err)
 	}
-	restored := rng.New(0)
-	if err := restored.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return restored, nil
+	return state, nil
 }
 
 // decodeUnweightedBuffer reads a weighted-set block holding unit-weight
-// buffered points and rebuilds the plain point set.
-func decodeUnweightedBuffer(br *bufio.Reader, dim int) (*dataset.Set, error) {
+// buffered points and rebuilds the plain point set. The chunk stream's
+// restore checks it against the clusterer's dimension and budget.
+func decodeUnweightedBuffer(br *bufio.Reader) (*dataset.Set, error) {
 	bufSet, err := dataset.DecodeWeightedSet(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: buffer: %v", ErrBadCheckpoint, err)
 	}
-	if bufSet.Dim() != dim {
-		return nil, fmt.Errorf("%w: buffer dim %d", ErrBadCheckpoint, bufSet.Dim())
-	}
-	buffer, err := dataset.NewSet(dim)
+	buffer, err := dataset.NewSet(bufSet.Dim())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: buffer: %v", ErrBadCheckpoint, err)
 	}
-	for _, wp := range bufSet.Points() {
-		if err := buffer.Add(wp.Vec); err != nil {
-			return nil, err
-		}
-	}
-	return buffer, nil
+	return buffer, buffer.AppendFlat(bufSet.Data())
 }

@@ -7,8 +7,9 @@ import (
 
 // FuzzCheckpoint drives both checkpoint decoders with arbitrary bytes.
 // The decoders must never panic or allocate proportionally to hostile
-// header counts, and any input they accept must re-encode and decode to
-// the same state (a successful decode is a real clusterer, not a
+// header counts, any tail they accept must fit the chunk budget and the
+// consumed count, and any input they accept must re-encode and decode
+// to the same state (a successful decode is a real clusterer, not a
 // half-initialized one). The seed corpus holds valid v1 (stream) and v2
 // (windowed) documents plus truncations; regressions found by fuzzing
 // are committed under testdata/fuzz/FuzzCheckpoint.
@@ -50,6 +51,9 @@ func FuzzCheckpoint(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sc, err := ResumeStreamClusterer(bytes.NewReader(data), sopts); err == nil {
+			if tail := sc.chunks.Tail().Len(); tail > sopts.ChunkPoints || tail > sc.Pushed() {
+				t.Fatalf("accepted a %d-point tail (budget %d, %d pushed)", tail, sopts.ChunkPoints, sc.Pushed())
+			}
 			var out bytes.Buffer
 			if err := sc.Checkpoint(&out); err != nil {
 				t.Fatalf("accepted checkpoint fails to re-encode: %v", err)
@@ -59,6 +63,13 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 		}
 		if w, err := ResumeWindowedClusterer(bytes.NewReader(data), wopts); err == nil {
+			st, err := w.inner.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := st.Tail.Len(); tail > wopts.ChunkPoints || tail > st.Consumed {
+				t.Fatalf("accepted a %d-point windowed tail (budget %d, %d consumed)", tail, wopts.ChunkPoints, st.Consumed)
+			}
 			var out bytes.Buffer
 			if err := w.Checkpoint(&out); err != nil {
 				t.Fatalf("accepted windowed checkpoint fails to re-encode: %v", err)

@@ -2,6 +2,9 @@ package streamkm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -376,5 +379,64 @@ func TestResumeValidatesOptions(t *testing.T) {
 	bad.ChunkPoints = 0
 	if _, err := ResumeStreamClusterer(bytes.NewReader(buf.Bytes()), bad); err == nil {
 		t.Fatal("invalid options should be rejected at resume")
+	}
+}
+
+// TestResumeRefusesOversizedTail: a checkpoint whose buffered tail
+// exceeds the resuming chunk budget, or the points it claims were
+// consumed, is refused for both clusterer kinds. Accepting it would make
+// the next Push summarize the whole tail as one oversized chunk.
+func TestResumeRefusesOversizedTail(t *testing.T) {
+	pts := blobPoints(40) // fits one 50-point chunk: all 40 stay buffered
+	sopts := Options{K: 3, Restarts: 1, ChunkPoints: 50, Seed: 3}
+	sc, err := NewStreamClusterer(2, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, sc.Push, pts)
+	var sbuf bytes.Buffer
+	if err := sc.Checkpoint(&sbuf); err != nil {
+		t.Fatal(err)
+	}
+	wopts := WindowedOptions{K: 3, ChunkPoints: 50, WindowChunks: 2, Seed: 3}
+	w, err := NewWindowedClusterer(2, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, w.Push, pts)
+	var wbuf bytes.Buffer
+	if err := w.Checkpoint(&wbuf); err != nil {
+		t.Fatal(err)
+	}
+
+	// The v1 push count sits at offset 8; the v2 consumed count at body
+	// offset 2, after a 15-byte header, under the body's CRC-32.
+	streamPushed5 := append([]byte(nil), sbuf.Bytes()...)
+	binary.LittleEndian.PutUint64(streamPushed5[8:], 5)
+	windowConsumed5 := append([]byte(nil), wbuf.Bytes()...)
+	binary.LittleEndian.PutUint64(windowConsumed5[17:], 5)
+	body := windowConsumed5[15 : len(windowConsumed5)-4]
+	binary.LittleEndian.PutUint32(windowConsumed5[len(windowConsumed5)-4:], crc32.ChecksumIEEE(body))
+
+	smallStream, smallWindow := sopts, wopts
+	smallStream.ChunkPoints, smallWindow.ChunkPoints = 20, 20
+	if _, err := ResumeStreamClusterer(bytes.NewReader(sbuf.Bytes()), smallStream); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("stream tail over the chunk budget: err = %v", err)
+	}
+	if _, err := ResumeStreamClusterer(bytes.NewReader(streamPushed5), sopts); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("stream tail over the push count: err = %v", err)
+	}
+	if _, err := ResumeWindowedClusterer(bytes.NewReader(wbuf.Bytes()), smallWindow); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("windowed tail over the chunk budget: err = %v", err)
+	}
+	if _, err := ResumeWindowedClusterer(bytes.NewReader(windowConsumed5), wopts); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("windowed tail over the consumed count: err = %v", err)
+	}
+	// The unmodified files still resume under their own options.
+	if _, err := ResumeStreamClusterer(bytes.NewReader(sbuf.Bytes()), sopts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeWindowedClusterer(bytes.NewReader(wbuf.Bytes()), wopts); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"streamkm/internal/dataset"
 	"streamkm/internal/dist"
 	"streamkm/internal/engine"
+	"streamkm/internal/govern"
 	"streamkm/internal/grid"
 	"streamkm/internal/obs"
 	"streamkm/internal/stream"
@@ -627,15 +628,11 @@ func run(cfg runConfig) (*engine.DegradedResult, error) {
 			engine.WithRetry(stream.RetryPolicy{MaxRetries: cfg.maxRetries}),
 			engine.WithRestarts(1))
 	}
-	if cfg.deadline > 0 {
-		opts = append(opts, engine.WithDeadline(cfg.deadline))
-	}
-	if cfg.progressTimeout > 0 {
-		opts = append(opts, engine.WithProgressTimeout(cfg.progressTimeout))
-	}
-	if runtimeBudget > 0 {
-		opts = append(opts, engine.WithMemoryBudget(runtimeBudget))
-	}
+	opts = append(opts, engine.WithBudget(govern.Budget{
+		Deadline:        cfg.deadline,
+		ProgressTimeout: cfg.progressTimeout,
+		MemoryBytes:     runtimeBudget,
+	}))
 	if cfg.allowDegraded {
 		opts = append(opts, engine.WithDegradedResults())
 	}

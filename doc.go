@@ -19,7 +19,12 @@
 //     resource governor. All three return the same answer bit for bit
 //     when the partitioning matches (see ClusterGoverned).
 //   - StreamClusterer consumes an unbounded stream point by point under
-//     a fixed memory budget ("one look" semantics).
+//     a fixed memory budget ("one look" semantics), and
+//     WindowedClusterer answers snapshot queries over the stream's W
+//     most recent chunks. Both buffer and summarize chunks through one
+//     step: chunk i draws the i-th split of the seed's generator, as
+//     Cluster's salami slicing does. A summarizer is deterministic, so
+//     neither retries a failed chunk; the error surfaces from Push.
 //
 // Substrates live in internal/ packages: the weighted Lloyd core
 // (internal/kmeans), the stream operator engine (internal/stream), the

@@ -16,13 +16,16 @@ import (
 // skeleton only requires that each in-memory partition be reduced to a
 // small weighted representation that the merge step can consume, so the
 // partial stage is an interface, not a fixed algorithm. Every layer —
-// the serial/parallel pipelines, the engine executor, the distributed
-// worker, and the facade — dispatches through this interface.
+// Cluster, the engine executor, the distributed worker, and the
+// streaming clusterers' ChunkStream — dispatches through this
+// interface.
 //
 // Implementations must be deterministic: equal chunk contents and equal
 // RNG states must produce bit-identical summaries, because the engine's
 // crash recovery and the distributed runtime both rely on replaying a
 // chunk from its pre-derived RNG and getting the same bytes back.
+// Summaries must not alias the chunk: ChunkStream reuses the chunk's
+// storage for the next chunk as soon as Summarize returns.
 type Summarizer interface {
 	// Summarize reduces one partition to weighted points plus
 	// diagnostics. The summary's total weight equals the number of

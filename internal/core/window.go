@@ -5,7 +5,6 @@ import (
 
 	"streamkm/internal/dataset"
 	"streamkm/internal/kmeans"
-	"streamkm/internal/rng"
 )
 
 // WindowedClusterer extends partial/merge k-means to the continuous-
@@ -17,17 +16,12 @@ import (
 // the collective merge is recomputed from the surviving summaries on
 // demand, preserving §3.3's fairness between all live chunks.
 type WindowedClusterer struct {
-	k        int
-	window   int
-	cfg      PartialConfig
-	merge    MergeConfig
-	dim      int
-	rng      *rng.RNG
-	buffer   *dataset.Set
-	chunkCap int
+	window int
+	// chunks buffers arriving points and summarizes each full chunk
+	// with the k-means partial operator.
+	chunks *ChunkStream
 	// ring of the W most recent chunk summaries
 	summaries []*dataset.WeightedSet
-	consumed  int
 	expired   int
 	// idx maintains the merged answer between queries (snapshot.go).
 	idx *snapshotIndex
@@ -88,7 +82,17 @@ func NewWindowedClusterer(dim int, cfg WindowConfig) (*WindowedClusterer, error)
 	if restarts <= 0 {
 		restarts = 1
 	}
-	buffer, err := dataset.NewSet(dim)
+	summ, err := NewKMeansSummarizer(PartialConfig{
+		K:             cfg.K,
+		Restarts:      restarts,
+		Epsilon:       cfg.Epsilon,
+		MaxIterations: cfg.MaxIterations,
+		Accelerate:    cfg.Accelerate,
+	})
+	if err != nil {
+		return nil, err
+	}
+	chunks, err := NewChunkStream(dim, cfg.ChunkPoints, summ, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -101,29 +105,17 @@ func NewWindowedClusterer(dim int, cfg WindowConfig) (*WindowedClusterer, error)
 		Solver:        cfg.MergeSolver,
 	}
 	return &WindowedClusterer{
-		k:      cfg.K,
 		window: cfg.WindowChunks,
-		cfg: PartialConfig{
-			K:             cfg.K,
-			Restarts:      restarts,
-			Epsilon:       cfg.Epsilon,
-			MaxIterations: cfg.MaxIterations,
-			Accelerate:    cfg.Accelerate,
-		},
-		merge:    merge,
-		dim:      dim,
-		rng:      rng.New(cfg.Seed),
-		buffer:   buffer,
-		chunkCap: cfg.ChunkPoints,
-		idx:      newSnapshotIndex(dim, merge, cfg.ResyncEvery),
+		chunks: chunks,
+		idx:    newSnapshotIndex(dim, merge, cfg.ResyncEvery),
 	}, nil
 }
 
 // Dim returns the point dimensionality.
-func (w *WindowedClusterer) Dim() int { return w.dim }
+func (w *WindowedClusterer) Dim() int { return w.chunks.Dim() }
 
 // Consumed returns the total number of points pushed.
-func (w *WindowedClusterer) Consumed() int { return w.consumed }
+func (w *WindowedClusterer) Consumed() int { return w.chunks.Consumed() }
 
 // Expired returns the number of chunk summaries that have fallen out of
 // the window.
@@ -138,33 +130,16 @@ func (w *WindowedClusterer) SnapshotStats() SnapshotStats { return w.idx.stats }
 // Push consumes one point; a full buffer becomes a chunk summary and the
 // oldest summary expires when the window overflows.
 func (w *WindowedClusterer) Push(point []float64) error {
-	if len(point) != w.dim {
-		return fmt.Errorf("core: point dim %d, want %d", len(point), w.dim)
+	if len(point) != w.Dim() {
+		return fmt.Errorf("core: point dim %d, want %d", len(point), w.Dim())
 	}
-	// Add copies the point into the buffer's flat slab, so no
-	// intermediate copy is needed and a steady-state push allocates
-	// nothing once the slab has grown to the chunk capacity.
-	if err := w.buffer.Add(point); err != nil {
-		return err
-	}
-	w.consumed++
+	pr, err := w.chunks.Push(point)
 	// The buffered tail is part of what a query sees, so every push
 	// dirties the cached snapshot.
 	w.idx.invalidate()
-	if w.buffer.Len() >= w.chunkCap {
-		return w.rotate()
-	}
-	return nil
-}
-
-func (w *WindowedClusterer) rotate() error {
-	pr, err := PartialKMeans(w.buffer, w.cfg, w.rng.Split())
-	if err != nil {
+	if pr == nil {
 		return err
 	}
-	// The summary owns fresh centroid storage, so the chunk buffer can
-	// be truncated in place and its slab reused by the next chunk.
-	w.buffer.Reset()
 	w.summaries = append(w.summaries, pr.Centroids)
 	if len(w.summaries) > w.window {
 		w.summaries[0] = nil
@@ -183,29 +158,24 @@ func (w *WindowedClusterer) rotate() error {
 // stream's RNG sequence or the maintained state, so any query
 // frequency sees identical answers (snapshot.go has the contract).
 func (w *WindowedClusterer) Snapshot() (*MergeResult, error) {
-	return w.idx.snapshot(w.buffer, w.consumed)
+	return w.idx.snapshot(w.chunks.Tail(), w.chunks.Consumed())
 }
 
 // WindowState is everything a WindowedClusterer must persist to resume
-// bit-identically: the buffered tail, the window ring of chunk
-// summaries, the stream counters, the RNG state, and the snapshot
-// index's maintained answer plus activity counters. Configuration is
-// deliberately absent — the restoring caller supplies the same
-// WindowConfig, mirroring the stream-clusterer checkpoint contract.
+// bit-identically: the chunk stream's state (points consumed, RNG,
+// buffered tail), the window ring of chunk summaries, the window
+// counters, and the snapshot index's maintained answer plus activity
+// counters. Configuration is deliberately absent — the restoring
+// caller supplies the same WindowConfig, mirroring the stream-clusterer
+// checkpoint contract.
 type WindowState struct {
-	// Consumed, Expired, Rotations are the stream-position counters:
-	// points pushed, summaries fallen out of the window, and chunk
-	// rotations folded into the snapshot index.
-	Consumed  int
+	ChunkState
+	// Expired and Rotations count summaries fallen out of the window
+	// and chunk rotations folded into the snapshot index.
 	Expired   int
 	Rotations int
-	// RNGState is the serialized per-stream random generator
-	// (rng.RNG.MarshalBinary).
-	RNGState []byte
 	// Summaries is the window ring in oldest-first order.
 	Summaries []*dataset.WeightedSet
-	// Buffer is the partially filled chunk.
-	Buffer *dataset.Set
 	// Stats are the snapshot index's lifetime work counters.
 	Stats SnapshotStats
 	// Base is the warm path's eagerly maintained answer, nil when the
@@ -214,25 +184,23 @@ type WindowState struct {
 }
 
 // State captures the clusterer's persistent state. The returned
-// summaries and buffer alias the live structures (summaries are
-// immutable once rotated; the buffer must be encoded before the next
+// summaries and tail alias the live structures (summaries are
+// immutable once rotated; the tail must be encoded before the next
 // Push), so callers serialize before mutating the clusterer again.
 func (w *WindowedClusterer) State() (*WindowState, error) {
-	rngState, err := w.rng.MarshalBinary()
+	chunk, err := w.chunks.State()
 	if err != nil {
 		return nil, err
 	}
 	summaries := make([]*dataset.WeightedSet, len(w.summaries))
 	copy(summaries, w.summaries)
 	return &WindowState{
-		Consumed:  w.consumed,
-		Expired:   w.expired,
-		Rotations: w.idx.rotations,
-		RNGState:  rngState,
-		Summaries: summaries,
-		Buffer:    w.buffer,
-		Stats:     w.idx.stats,
-		Base:      w.idx.base,
+		ChunkState: chunk,
+		Expired:    w.expired,
+		Rotations:  w.idx.rotations,
+		Summaries:  summaries,
+		Stats:      w.idx.stats,
+		Base:       w.idx.base,
 	}, nil
 }
 
@@ -245,7 +213,7 @@ func RestoreWindowedClusterer(dim int, cfg WindowConfig, st *WindowState) (*Wind
 	if err != nil {
 		return nil, err
 	}
-	if st.Consumed < 0 || st.Expired < 0 || st.Rotations < 0 {
+	if st.Expired < 0 || st.Rotations < 0 {
 		return nil, fmt.Errorf("core: negative window-state counter")
 	}
 	if len(st.Summaries) > cfg.WindowChunks {
@@ -256,21 +224,13 @@ func RestoreWindowedClusterer(dim int, cfg WindowConfig, st *WindowState) (*Wind
 			return nil, fmt.Errorf("core: window-state summary %d has dim %d, want %d", i, s.Dim(), dim)
 		}
 	}
-	if st.Buffer.Dim() != dim {
-		return nil, fmt.Errorf("core: window-state buffer has dim %d, want %d", st.Buffer.Dim(), dim)
-	}
-	if st.Buffer.Len() > cfg.ChunkPoints {
-		return nil, fmt.Errorf("core: window-state buffer holds %d points, chunk budget is %d", st.Buffer.Len(), cfg.ChunkPoints)
-	}
 	if st.Base != nil && len(st.Base.Centroids) != cfg.K {
 		return nil, fmt.Errorf("core: window-state base has %d centroids, want k=%d", len(st.Base.Centroids), cfg.K)
 	}
-	if err := w.rng.UnmarshalBinary(st.RNGState); err != nil {
+	if err := w.chunks.Restore(st.ChunkState); err != nil {
 		return nil, err
 	}
-	w.consumed = st.Consumed
 	w.expired = st.Expired
-	w.buffer = st.Buffer
 	w.summaries = st.Summaries
 	if err := w.idx.restore(w.summaries, st.Rotations, st.Stats, st.Base); err != nil {
 		return nil, err

@@ -166,8 +166,8 @@ func (s *Set) Shuffle(r *rng.RNG) {
 }
 
 // Reset truncates the set to zero points, keeping the allocated slab so
-// a reused buffer (the windowed clusterer's chunk buffer) stops
-// allocating once it has warmed up.
+// a reused buffer (core.ChunkStream's chunk buffer) stops allocating
+// once it has warmed up.
 func (s *Set) Reset() { s.data = s.data[:0] }
 
 // ErrEmptySet is returned by operations that need at least one point.

@@ -188,9 +188,9 @@ func TestRegistryAggregatesAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestCompressionOptionComposes pins WithCompression both as an
-// enable-override and a disable-override of Query.Compress, on a
-// supervised pipeline.
+// TestCompressionOptionComposes pins Query.Compress on and off, on a
+// supervised pipeline: compression attaches the plain run's histograms
+// and changes no answer.
 func TestCompressionOptionComposes(t *testing.T) {
 	cells, q, plan := recoverCells(t)
 	qc := q
@@ -199,8 +199,7 @@ func TestCompressionOptionComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := NewExec(q, plan,
-		WithCompression(true),
+	got, _, err := NewExec(qc, plan,
 		WithRetry(stream.RetryPolicy{MaxRetries: 1}),
 	).Execute(context.Background(), cells)
 	if err != nil {
@@ -209,19 +208,20 @@ func TestCompressionOptionComposes(t *testing.T) {
 	assertSameResults(t, got, want)
 	for i := range got {
 		if got[i].Histogram == nil {
-			t.Fatalf("cell %d: WithCompression(true) attached no histogram", i)
+			t.Fatalf("cell %d: Compress attached no histogram", i)
 		}
 		if got[i].Histogram.Total() != want[i].Histogram.Total() {
 			t.Fatalf("cell %d: histogram totals differ", i)
 		}
 	}
-	off, _, err := NewExec(qc, plan, WithCompression(false)).Execute(context.Background(), cells)
+	off, _, err := NewExec(q, plan, WithRetry(stream.RetryPolicy{MaxRetries: 1})).Execute(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSameResults(t, off, want)
 	for i := range off {
 		if off[i].Histogram != nil {
-			t.Fatalf("cell %d: WithCompression(false) did not suppress the histogram", i)
+			t.Fatalf("cell %d: a run without Compress attached a histogram", i)
 		}
 	}
 }

@@ -26,8 +26,9 @@ import (
 //	re-optimization WithReopt (+ WithOnReoptEvent)
 //	fault injection WithFaultInjection
 //	tracing         WithTracer
-//	compression     WithCompression
-//	governing       WithDeadline / WithMemoryBudget / WithProgressTimeout / WithBudget
+//	observability   WithObserver
+//	remote workers  WithRemoteWorkers
+//	governing       WithBudget
 //	degradation     WithDegradedResults
 //
 // Any combination composes: an adaptive run can retry chunks and
@@ -59,7 +60,6 @@ type Exec struct {
 	reopt       *ReoptPolicy
 	onReopt     func(ReoptEvent)
 	tracer      *trace.Tracer
-	compress    *bool
 	supervised  bool
 	budget      govern.Budget
 	degraded    bool
@@ -144,52 +144,26 @@ func WithTracer(tr *trace.Tracer) ExecOption {
 	return func(e *Exec) { e.tracer = tr }
 }
 
-// WithCompression overrides Query.Compress for this execution.
-func WithCompression(on bool) ExecOption {
-	return func(e *Exec) { e.compress = &on }
-}
-
-// WithWorkers overrides Query.Workers for this execution: each partial
-// operator fans its Restarts across n goroutines. Because the restart
-// fan-out is bit-identical to serial execution for any worker count,
-// this composes with every other option without perturbing results.
-func WithWorkers(n int) ExecOption {
-	return func(e *Exec) { e.q.Workers = n }
-}
-
-// WithBudget enforces a whole resource envelope at once — the
-// piecewise equivalent of WithDeadline + WithMemoryBudget +
-// WithProgressTimeout (zero fields stay unenforced).
+// WithBudget enforces the resource governor's envelope; zero fields
+// stay unenforced.
+//   - Deadline bounds the execution's wall-clock time. When it fires
+//     the run fails with context.DeadlineExceeded — or, with
+//     WithDegradedResults, returns whatever has been computed so far as
+//     a degraded answer.
+//   - MemoryBytes caps the working-set estimate: before the pipeline
+//     starts, the governor deterministically shrinks the plan's chunk
+//     size and the partial/restart fan-out until the in-flight point
+//     data fits (recorded in ExecStats.Admission). The shrink changes
+//     scheduling, not semantics — results for a given admitted plan are
+//     deterministic for a fixed seed.
+//   - ProgressTimeout arms the stall watchdog: a sidecar samples every
+//     stage's heartbeat and queue counters, and if a stage holds
+//     pending work while making no progress for that long, the attempt
+//     is cancelled with a typed *govern.StallError. A stall consumes a
+//     plan restart when WithRestarts allows one; otherwise it fails the
+//     plan — or degrades it under WithDegradedResults.
 func WithBudget(b govern.Budget) ExecOption {
 	return func(e *Exec) { e.budget = b }
-}
-
-// WithDeadline bounds the execution's wall-clock time. When the
-// deadline fires the run fails with context.DeadlineExceeded — or, with
-// WithDegradedResults, returns whatever has been computed so far as a
-// degraded answer.
-func WithDeadline(d time.Duration) ExecOption {
-	return func(e *Exec) { e.budget.Deadline = d }
-}
-
-// WithMemoryBudget caps the execution's working-set estimate at bytes:
-// before the pipeline starts, the governor deterministically shrinks the
-// plan's chunk size and the partial/restart fan-out until the in-flight
-// point data fits the budget (recorded in ExecStats.Admission). The
-// shrink changes scheduling, not semantics — results for a given
-// admitted plan are deterministic for a fixed seed.
-func WithMemoryBudget(bytes int64) ExecOption {
-	return func(e *Exec) { e.budget.MemoryBytes = bytes }
-}
-
-// WithProgressTimeout arms the stall watchdog: a sidecar samples every
-// stage's heartbeat and queue counters, and if a stage holds pending
-// work while making no progress for d, the attempt is cancelled with a
-// typed *govern.StallError. A stall consumes a plan restart when
-// WithRestarts allows one; otherwise it fails the plan — or degrades it
-// under WithDegradedResults.
-func WithProgressTimeout(d time.Duration) ExecOption {
-	return func(e *Exec) { e.budget.ProgressTimeout = d }
 }
 
 // WithDegradedResults opts into the anytime contract: when a chunk
@@ -301,11 +275,7 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 		strategy: q.Strategy, chunkPoints: plan.ChunkPoints}); err != nil {
 		return nil, nil, err
 	}
-	compress := q.Compress
-	if e.compress != nil {
-		compress = *e.compress
-	}
-	merger := newCellMerger(cells, q, compress, mergeRNGs, tr, journal, retain, ob)
+	merger := newCellMerger(cells, q, mergeRNGs, tr, journal, retain, ob)
 
 	// One registry for the whole execution: operator counters
 	// (processed/retries/quarantined/...) aggregate across restart

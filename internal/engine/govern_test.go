@@ -187,7 +187,7 @@ func TestWatchdogRecoversStalledStage(t *testing.T) {
 	start := time.Now()
 	got, stats, err := NewExec(q, plan,
 		WithFaultInjection(inj),
-		WithProgressTimeout(80*time.Millisecond),
+		WithBudget(govern.Budget{ProgressTimeout: 80 * time.Millisecond}),
 		WithRestarts(1),
 	).Execute(context.Background(), cells)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestStallFailsLoudlyWithoutBudget(t *testing.T) {
 	cells, q, plan := governCells(t)
 	_, _, err := NewExec(q, plan,
 		WithFaultInjection(fault.StallNth(2)),
-		WithProgressTimeout(60*time.Millisecond),
+		WithBudget(govern.Budget{ProgressTimeout: 60 * time.Millisecond}),
 	).Execute(context.Background(), cells)
 	if !errors.Is(err, govern.ErrStalled) {
 		t.Fatalf("err = %v, want a stall error", err)
@@ -235,7 +235,7 @@ func TestStallDegradesWhenRestartsExhausted(t *testing.T) {
 	cells, q, plan := governCells(t)
 	got, stats, err := NewExec(q, plan,
 		WithFaultInjection(fault.StallNth(2)),
-		WithProgressTimeout(60*time.Millisecond),
+		WithBudget(govern.Budget{ProgressTimeout: 60 * time.Millisecond}),
 		WithDegradedResults(),
 	).Execute(context.Background(), cells)
 	if err != nil {
@@ -270,7 +270,7 @@ func TestDeadlineDegrades(t *testing.T) {
 			// Invocation 2 sleeps far past the deadline, so exactly one
 			// chunk completes in time.
 			WithFaultInjection(fault.DelayNth(2, 10*time.Second)),
-			WithDeadline(250 * time.Millisecond),
+			WithBudget(govern.Budget{Deadline: 250 * time.Millisecond}),
 		}
 	}
 	got, stats, err := NewExec(q, plan, append(opts(), WithDegradedResults())...).
@@ -320,7 +320,7 @@ func TestMemoryBudgetShrinksPlan(t *testing.T) {
 	// a planned chunk, forcing both a smaller chunk and serialized fan-out.
 	budget := int64(150) * pointBytes(4)
 	run := func() ([]CellResult, *ExecStats) {
-		res, stats, err := NewExec(q, plan, WithMemoryBudget(budget)).
+		res, stats, err := NewExec(q, plan, WithBudget(govern.Budget{MemoryBytes: budget})).
 			Execute(context.Background(), cells)
 		if err != nil {
 			t.Fatal(err)
@@ -401,7 +401,7 @@ func TestGovernorStallSoak(t *testing.T) {
 		t.Run(fmt.Sprintf("stall-invocation-%d", nth), func(t *testing.T) {
 			got, stats, err := NewExec(q, plan,
 				WithFaultInjection(fault.StallNth(nth)),
-				WithProgressTimeout(80*time.Millisecond),
+				WithBudget(govern.Budget{ProgressTimeout: 80 * time.Millisecond}),
 				WithRestarts(1),
 			).Execute(context.Background(), cells)
 			if err != nil {

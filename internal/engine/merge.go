@@ -24,7 +24,6 @@ import (
 type cellMerger struct {
 	cells     []Cell
 	q         Query
-	compress  bool
 	mergeRNGs []*rng.RNG
 	tr        *trace.Tracer
 	journal   *Journal
@@ -42,11 +41,10 @@ type cellMerger struct {
 	completed []bool
 }
 
-func newCellMerger(cells []Cell, q Query, compress bool, mergeRNGs []*rng.RNG, tr *trace.Tracer, journal *Journal, retain bool, ob *execObs) *cellMerger {
+func newCellMerger(cells []Cell, q Query, mergeRNGs []*rng.RNG, tr *trace.Tracer, journal *Journal, retain bool, ob *execObs) *cellMerger {
 	return &cellMerger{
 		cells:     cells,
 		q:         q,
-		compress:  compress,
 		mergeRNGs: mergeRNGs,
 		tr:        tr,
 		journal:   journal,
@@ -147,7 +145,7 @@ func (m *cellMerger) finishCell(ci int, parts []*dataset.WeightedSet, partialTim
 		return err
 	}
 	var hist *histogram.Histogram
-	if m.compress {
+	if m.q.Compress {
 		endSpan := m.tr.Span("compress", fmt.Sprintf("%v", key))
 		hist, err = histogram.Build(m.cells[ci].Points, mr.Centroids)
 		endSpan()

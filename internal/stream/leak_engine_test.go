@@ -16,6 +16,7 @@ import (
 	"streamkm/internal/dataset"
 	"streamkm/internal/engine"
 	"streamkm/internal/fault"
+	"streamkm/internal/govern"
 	"streamkm/internal/grid"
 )
 
@@ -70,7 +71,7 @@ func TestDeadlineDuringRecoveryLeavesNoGoroutines(t *testing.T) {
 		engine.WithFaultInjection(inj),
 		engine.WithRestarts(1),
 		engine.WithOnRestart(func(int, error) { restarts++ }),
-		engine.WithDeadline(300*time.Millisecond),
+		engine.WithBudget(govern.Budget{Deadline: 300 * time.Millisecond}),
 	)
 	_, _, err := exec.Execute(context.Background(), cells)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -93,7 +94,7 @@ func TestStallRetryLeavesNoGoroutines(t *testing.T) {
 	exec := engine.NewExec(q, plan,
 		engine.WithFaultInjection(fault.StallNth(2)),
 		engine.WithRestarts(1),
-		engine.WithProgressTimeout(60*time.Millisecond),
+		engine.WithBudget(govern.Budget{ProgressTimeout: 60 * time.Millisecond}),
 	)
 	results, stats, err := exec.Execute(context.Background(), cells)
 	if err != nil {

@@ -107,8 +107,8 @@ func retryAbort(err error) bool {
 // observes each re-attempt before its backoff sleep. Lifecycle errors
 // (see retryAbort) abort immediately. It returns the number of attempts
 // made and fn's final error. This is the one retry loop shared by
-// supervised operators, the streamkm facade's flush path, and the
-// distributed worker pool's transport retries.
+// supervised operators (the engine's WithRetry, and so the facade's
+// ClusterGoverned) and the distributed worker pool's transport retries.
 func (p RetryPolicy) Attempts(ctx context.Context, seed uint64, onRetry func(attempt int, err error), fn func(attempt int) error) (int, error) {
 	attempt := 0
 	for {

@@ -1,7 +1,6 @@
 package streamkm
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -81,91 +80,21 @@ func TestStreamClustererStrictModeStillErrors(t *testing.T) {
 	}
 }
 
-func TestStreamClustererRetriesFlushBitIdentical(t *testing.T) {
-	opts := Options{
-		K: 5, ChunkPoints: 40, Restarts: 3, Seed: 31,
-		Retry: &RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond},
-	}
-	s, err := NewStreamClusterer(2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail the first two attempts of every flush.
-	boom := errors.New("injected flush failure")
-	s.faultHook = func(attempt int) error {
-		if attempt <= 2 {
-			return boom
-		}
-		return nil
-	}
-	pts := make([][]float64, 300)
-	for i := range pts {
-		pts[i] = []float64{float64(i % 17), float64(i % 29)}
-	}
-	got := finishStream(t, s, pts)
-	if s.Retries() == 0 {
-		t.Fatal("no retries recorded despite injected failures")
-	}
-
-	clean, err := NewStreamClusterer(2, Options{K: 5, ChunkPoints: 40, Restarts: 3, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := finishStream(t, clean, pts)
-	assertSameCentroids(t, got, want)
-}
-
-func TestStreamClustererRetryBudgetExhausted(t *testing.T) {
-	opts := Options{
-		K: 3, ChunkPoints: 20, Seed: 1,
-		Retry: &RetryPolicy{MaxRetries: 2},
-	}
-	s, err := NewStreamClusterer(1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("permanent failure")
-	s.faultHook = func(int) error { return boom }
-	var pushErr error
-	for i := 0; i < 20 && pushErr == nil; i++ {
-		pushErr = s.Push([]float64{float64(i)})
-	}
-	if !errors.Is(pushErr, boom) {
-		t.Fatalf("err = %v, want the injected failure", pushErr)
-	}
-	if s.Retries() != 2 {
-		t.Fatalf("Retries() = %d, want 2", s.Retries())
-	}
-}
-
-func TestStreamClustererNoRetryWithoutPolicy(t *testing.T) {
-	s, err := NewStreamClusterer(1, Options{K: 3, ChunkPoints: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("first failure is fatal")
-	s.faultHook = func(int) error { return boom }
-	var pushErr error
-	for i := 0; i < 20 && pushErr == nil; i++ {
-		pushErr = s.Push([]float64{float64(i)})
-	}
-	if !errors.Is(pushErr, boom) || s.Retries() != 0 {
-		t.Fatalf("err = %v, retries = %d", pushErr, s.Retries())
-	}
-}
-
+// TestRetryPolicyBackoff pins the facade-to-engine policy conversion
+// ClusterGoverned applies: the same delays, and a zero BaseBackoff
+// retrying immediately.
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
-	if d := p.backoff(1); d != time.Millisecond {
+	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}.stream()
+	if d := p.Backoff(1, 0); d != time.Millisecond {
 		t.Fatalf("attempt 1: %v", d)
 	}
-	if d := p.backoff(3); d != 4*time.Millisecond {
+	if d := p.Backoff(3, 0); d != 4*time.Millisecond {
 		t.Fatalf("attempt 3: %v", d)
 	}
-	if d := p.backoff(20); d != 4*time.Millisecond {
+	if d := p.Backoff(20, 0); d != 4*time.Millisecond {
 		t.Fatalf("attempt 20 should cap: %v", d)
 	}
-	if d := (RetryPolicy{}).backoff(5); d != 0 {
+	if d := (RetryPolicy{}).stream().Backoff(5, 0); d != 0 {
 		t.Fatalf("zero policy should not sleep: %v", d)
 	}
 }

@@ -76,16 +76,20 @@ go test -run='^$' -bench=. -benchtime=10x ./internal/kmeans ./internal/vector
 go run ./cmd/loadgen -profile smoke -driver both -out /tmp/load-smoke.$$.json
 rm -f /tmp/load-smoke.$$.json
 
-# Perfbench correctness smoke: two seconds of the cells-batch workload
-# against a freshly built streamkmd. The harness replays every stream
-# through the library and compares each daemon answer bit for bit, so
-# the check fails unless the result reports correct and no failed ops.
-python3 perfbench/run.py --workload cells-batch --seed 1 --seconds 2 --trace 0 \
-  > /tmp/perfbench-smoke.$$.json
-python3 -c '
+# Perfbench correctness smoke: two seconds each of the cells-batch
+# workload (stream sessions) and the serve-mix workload (windowed
+# sessions plus snapshot reads) against a freshly built streamkmd. The
+# harness replays every stream through the library and compares each
+# daemon answer bit for bit, so the check fails unless each result
+# reports correct and no failed ops.
+for workload in cells-batch serve-mix; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+    > /tmp/perfbench-smoke.$$.json
+  python3 -c '
 import json, sys
 r = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 if r.get("correct") is not True or r.get("failed") != 0:
-    sys.exit("perfbench smoke failed: %r" % r)
-' /tmp/perfbench-smoke.$$.json
+    sys.exit("perfbench smoke failed (%s): %r" % (sys.argv[2], r))
+' /tmp/perfbench-smoke.$$.json "$workload"
+done
 rm -f /tmp/perfbench-smoke.$$.json

@@ -16,7 +16,6 @@ import (
 	"streamkm/internal/grid"
 	"streamkm/internal/metrics"
 	"streamkm/internal/obs"
-	"streamkm/internal/rng"
 	"streamkm/internal/stream"
 )
 
@@ -89,11 +88,11 @@ type Options struct {
 	// (0 = pure distortion, plain k-means behavior).
 	ECVQMaxK   int
 	ECVQLambda float64
-	// Retry, when non-nil, makes StreamClusterer re-attempt a failed
-	// chunk reduction instead of surfacing the first error. Each attempt
-	// replays the chunk's own pre-derived random state, so a run that
-	// needed retries produces centroids bit-identical to one that did
-	// not.
+	// Retry, when non-nil, makes ClusterGoverned re-attempt a failed
+	// partition instead of surfacing the first error, and sets the
+	// re-lease budget for RemoteWorkers. Each attempt replays the
+	// partition's own pre-derived random state, so a run that needed
+	// retries produces centroids bit-identical to one that did not.
 	Retry *RetryPolicy
 	// OnDroppedRecord, when non-nil, turns StreamClusterer.Push into a
 	// lenient boundary: points with the wrong dimensionality or
@@ -161,10 +160,6 @@ func (p RetryPolicy) stream() stream.RetryPolicy {
 		sp.BaseBackoff = -1
 	}
 	return sp
-}
-
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	return p.stream().Backoff(attempt, 0)
 }
 
 // Result is the outcome of a clustering run.
@@ -494,25 +489,18 @@ func clusterOnEngine(ctx context.Context, points [][]float64, opts Options, gove
 
 // StreamClusterer clusters an unbounded stream under a fixed memory
 // budget: points are buffered up to ChunkPoints, each full buffer is
-// reduced to k weighted centroids by partial k-means and discarded (the
-// "one look" regime), and Finish merges all retained centroids into the
-// final representation. State is O(k * chunks), never O(N).
+// reduced to weighted centroids by the chunk summarizer and discarded
+// (the "one look" regime, core.ChunkStream), and Finish merges all
+// retained centroids into the final representation. State is
+// O(k * chunks), never O(N).
 type StreamClusterer struct {
 	opts     Options
 	copts    core.Options
-	summ     core.Summarizer
-	dim      int
-	buffer   *dataset.Set
+	chunks   *core.ChunkStream
 	parts    []*dataset.WeightedSet
-	rng      *rng.RNG
-	pushed   int
 	dropped  int
-	retries  int
 	partialT time.Duration
 	finished bool
-	// faultHook, when non-nil, runs before each chunk reduction attempt
-	// (in-package fault-injection tests only).
-	faultHook func(attempt int) error
 }
 
 // NewStreamClusterer returns a clusterer for dim-dimensional points.
@@ -535,22 +523,15 @@ func NewStreamClusterer(dim int, opts Options) (*StreamClusterer, error) {
 	if err != nil {
 		return nil, err
 	}
-	buffer, err := dataset.NewSet(dim)
+	chunks, err := core.NewChunkStream(dim, opts.ChunkPoints, summ, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamClusterer{
-		opts:   opts,
-		copts:  copts,
-		summ:   summ,
-		dim:    dim,
-		buffer: buffer,
-		rng:    rng.New(opts.Seed),
-	}, nil
+	return &StreamClusterer{opts: opts, copts: copts, chunks: chunks}, nil
 }
 
 // Pushed returns the number of points consumed so far.
-func (s *StreamClusterer) Pushed() int { return s.pushed }
+func (s *StreamClusterer) Pushed() int { return s.chunks.Consumed() }
 
 // Partials returns the number of chunk reductions performed so far.
 func (s *StreamClusterer) Partials() int { return len(s.parts) }
@@ -558,10 +539,6 @@ func (s *StreamClusterer) Partials() int { return len(s.parts) }
 // Dropped returns the number of records discarded by the lenient input
 // boundary (always 0 unless Options.OnDroppedRecord is set).
 func (s *StreamClusterer) Dropped() int { return s.dropped }
-
-// Retries returns the number of chunk-reduction re-attempts performed
-// under Options.Retry.
-func (s *StreamClusterer) Retries() int { return s.retries }
 
 // Push consumes one point. When the buffer reaches ChunkPoints it is
 // reduced to weighted centroids and released. With
@@ -571,8 +548,8 @@ func (s *StreamClusterer) Push(point []float64) error {
 	if s.finished {
 		return errors.New("streamkm: Push after Finish")
 	}
-	if len(point) != s.dim {
-		err := fmt.Errorf("streamkm: point dim %d, want %d", len(point), s.dim)
+	if len(point) != s.chunks.Dim() {
+		err := fmt.Errorf("streamkm: point dim %d, want %d", len(point), s.chunks.Dim())
 		if s.opts.OnDroppedRecord != nil {
 			s.drop(point, err)
 			return nil
@@ -587,16 +564,17 @@ func (s *StreamClusterer) Push(point []float64) error {
 			}
 		}
 	}
-	p := make([]float64, s.dim)
-	copy(p, point)
-	if err := s.buffer.Add(p); err != nil {
-		return err
+	pr, err := s.chunks.Push(point)
+	if pr != nil {
+		s.keep(pr)
 	}
-	s.pushed++
-	if s.buffer.Len() >= s.opts.ChunkPoints {
-		return s.flush()
-	}
-	return nil
+	return err
+}
+
+// keep retains one chunk summary for the final merge.
+func (s *StreamClusterer) keep(pr *core.PartialResult) {
+	s.parts = append(s.parts, pr.Centroids)
+	s.partialT += pr.Elapsed
 }
 
 func (s *StreamClusterer) drop(point []float64, err error) {
@@ -604,44 +582,6 @@ func (s *StreamClusterer) drop(point []float64, err error) {
 	cp := make([]float64, len(point))
 	copy(cp, point)
 	s.opts.OnDroppedRecord(cp, err)
-}
-
-// flush reduces the buffered chunk to weighted centroids, retrying per
-// Options.Retry. The chunk's RNG is split from the stream's generator
-// exactly once, then copied per attempt, so retried runs replay the
-// identical random sequence and the final centroids stay bit-identical
-// to a fault-free run.
-func (s *StreamClusterer) flush() error {
-	chunkRNG := s.rng.Split()
-	var policy RetryPolicy
-	if s.opts.Retry != nil {
-		policy = *s.opts.Retry
-	}
-	var pr *core.PartialResult
-	_, err := policy.stream().Attempts(context.Background(), 0,
-		func(int, error) { s.retries++ },
-		func(attempt int) error {
-			attemptRNG := *chunkRNG
-			if s.faultHook != nil {
-				if err := s.faultHook(attempt); err != nil {
-					return err
-				}
-			}
-			var err error
-			pr, err = s.summ.Summarize(s.buffer, &attemptRNG)
-			return err
-		})
-	if err != nil {
-		return err
-	}
-	s.parts = append(s.parts, pr.Centroids)
-	s.partialT += pr.Elapsed
-	fresh, err := dataset.NewSet(s.dim)
-	if err != nil {
-		return err
-	}
-	s.buffer = fresh
-	return nil
 }
 
 // Finish flushes any buffered tail and merges all weighted centroids
@@ -654,26 +594,27 @@ func (s *StreamClusterer) Finish() (*Result, error) {
 	}
 	s.finished = true
 	start := time.Now()
-	if s.buffer.Len() > 0 {
-		if s.buffer.Len() >= s.copts.K {
-			if err := s.flush(); err != nil {
-				return nil, err
-			}
-		} else if len(s.parts) == 0 {
-			return nil, fmt.Errorf("streamkm: only %d points pushed, need at least K=%d", s.pushed, s.copts.K)
-		} else {
-			// Tail smaller than k: keep the raw points as unit-weight
-			// centroids so no data is dropped.
-			tail := dataset.Unweighted(s.buffer)
-			s.parts = append(s.parts, tail)
+	switch tail := s.chunks.Tail(); {
+	case tail.Len() == 0:
+	case tail.Len() >= s.copts.K:
+		pr, err := s.chunks.Flush()
+		if err != nil {
+			return nil, err
 		}
+		s.keep(pr)
+	case len(s.parts) == 0:
+		return nil, fmt.Errorf("streamkm: only %d points pushed, need at least K=%d", s.Pushed(), s.copts.K)
+	default:
+		// Tail smaller than k: keep the raw points as unit-weight
+		// centroids so no data is dropped.
+		s.parts = append(s.parts, dataset.Unweighted(tail))
 	}
 	if len(s.parts) == 0 {
 		return nil, errors.New("streamkm: no data pushed")
 	}
 	// MergeConfig leaves the Seeder nil; MergeKMeans defaults it to the
 	// heaviest-point seeder, exactly what this path always used.
-	mr, err := core.MergeKMeans(s.parts, s.copts.MergeConfig(), s.rng.Split())
+	mr, err := core.MergeKMeans(s.parts, s.copts.MergeConfig(), s.chunks.MergeRNG())
 	if err != nil {
 		return nil, err
 	}

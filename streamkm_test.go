@@ -337,3 +337,28 @@ func TestParseHelpers(t *testing.T) {
 		t.Fatal("bogus mode should error")
 	}
 }
+
+// TestStreamClustererPushAllocatesNothing: Set.Add copies the point, so
+// once the chunk buffer has grown, a Push that completes no chunk
+// allocates nothing.
+func TestStreamClustererPushAllocatesNothing(t *testing.T) {
+	const chunk = 1000
+	s, err := NewStreamClusterer(2, Options{K: 2, Restarts: 1, ChunkPoints: chunk, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := blobPoints(chunk) // one full chunk grows the buffer
+	for _, p := range pts {
+		if err := s.Push(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(chunk/2, func() {
+		if err := s.Push(pts[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Push allocates %v objects per point, want 0", allocs)
+	}
+}
