@@ -11,7 +11,7 @@
 //	-exp slicing         A3: random vs salami vs spatial slicing
 //	-exp baselines       A4: vs serial, BIRCH, STREAM, methodC, mini-batch
 //	-exp ecvq            A5: fixed-k vs ECVQ partial reduction
-//	-exp accel           A6: naive vs Hamerly-accelerated Lloyd
+//	-exp accel           A6: bounded Lloyd sweep vs full scans
 //	-exp chunk-size      A7: quality/time vs memory budget
 //	-exp partial-seeding A8: random vs kmeans++ chunk seeds
 //	-exp agreement       A9: adjusted Rand index between algorithms
@@ -159,7 +159,7 @@ func run(exp string, w bench.Workload, n, splits int, asJSON ...bool) error {
 		if err != nil {
 			return err
 		}
-		return emit("", ab, bench.FormatAblation("A6: naive vs Hamerly-accelerated Lloyd", ab))
+		return emit("", ab, bench.FormatPruning(ab))
 	case "ecvq":
 		ab, err := bench.RunECVQAblation(w, n, splits, []float64{0.1, 1, 10})
 		if err != nil {

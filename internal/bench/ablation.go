@@ -13,6 +13,7 @@ import (
 	"streamkm/internal/engine"
 	"streamkm/internal/kmeans"
 	"streamkm/internal/metrics"
+	"streamkm/internal/rng"
 	"streamkm/internal/vector"
 )
 
@@ -490,42 +491,68 @@ func FormatDistributed(rows []DistRow) string {
 	return b.String()
 }
 
-// RunAccelerationAblation compares naive Lloyd against Hamerly's
-// accelerated iteration over the full partial/merge pipeline (A6 — §2's
-// "improvements for step 2" that the paper declined to implement).
-func RunAccelerationAblation(w Workload, n, splits int) ([]AblationRow, error) {
+// PruningRow is one cell version's A6 measurement: the partial k-means
+// of the cell's first chunk, with the distance evaluations the bounded
+// sweep spent against the (TotalIterations+R)·n·K that scanning every
+// centroid in every sweep would spend.
+type PruningRow struct {
+	Version       int
+	Points        int
+	Iterations    int
+	DistanceEvals int64
+	FullScanEvals int64
+	Elapsed       time.Duration
+}
+
+// RunAccelerationAblation measures §2's "improvements for step 2" as
+// the Lloyd sweep applies them (A6). For each cell version it slices
+// the cell as core.Cluster does and runs the first chunk's partial
+// k-means — ⌈N/splits⌉ points, K centroids, R restarts, the chunk's own
+// random stream — counting distance evaluations.
+func RunAccelerationAblation(w Workload, n, splits int) ([]PruningRow, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for _, accel := range []bool{false, true} {
-		variant := "lloyd-naive"
-		if accel {
-			variant = "lloyd-hamerly"
+	rows := make([]PruningRow, 0, w.Versions)
+	for v := 0; v < w.Versions; v++ {
+		cell, err := w.cell(n, v)
+		if err != nil {
+			return nil, err
 		}
-		row := AblationRow{Variant: variant}
-		for v := 0; v < w.Versions; v++ {
-			cell, err := w.cell(n, v)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Cluster(cell, core.Options{
-				K: w.K, Restarts: w.Restarts, Splits: splits,
-				Accelerate: accel, Seed: w.Seed + uint64(v),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: acceleration %s: %w", variant, err)
-			}
-			row.MergeMSE += res.MergeMSE
-			row.PointMSE += res.PointMSE
-			row.Elapsed += res.Elapsed
+		sliced, err := core.SliceCell(cell, splits, 0, dataset.SplitRandom, rng.New(w.Seed+uint64(v)))
+		if err != nil {
+			return nil, err
 		}
-		row.MergeMSE /= float64(w.Versions)
-		row.PointMSE /= float64(w.Versions)
-		row.Elapsed /= time.Duration(w.Versions)
-		rows = append(rows, row)
+		chunk := dataset.Unweighted(sliced.Chunks[0])
+		start := time.Now()
+		rr, err := kmeans.RunRestarts(chunk, kmeans.Config{K: w.K}, w.Restarts, sliced.ChunkRNGs[0])
+		if err != nil {
+			return nil, fmt.Errorf("bench: pruning: %w", err)
+		}
+		rows = append(rows, PruningRow{
+			Version:       v,
+			Points:        chunk.Len(),
+			Iterations:    rr.TotalIterations,
+			DistanceEvals: rr.DistanceEvals,
+			FullScanEvals: int64(rr.TotalIterations+w.Restarts) * int64(chunk.Len()) * int64(w.K),
+			Elapsed:       time.Since(start),
+		})
 	}
 	return rows, nil
+}
+
+// FormatPruning renders A6 rows.
+func FormatPruning(rows []PruningRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# A6: bounded Lloyd sweep vs full scans (first chunk's partial k-means per version)\n")
+	fmt.Fprintf(&b, "%-8s %7s %11s %13s %16s %10s %13s\n",
+		"version", "points", "iterations", "dist evals", "full-scan evals", "reduction", "elapsed (ms)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-8d %7d %11d %13d %16d %9.2fx %13d\n",
+			r.Version, r.Points, r.Iterations, r.DistanceEvals, r.FullScanEvals,
+			float64(r.FullScanEvals)/float64(r.DistanceEvals), r.Elapsed.Milliseconds())
+	}
+	return b.String()
 }
 
 // RunECVQAblation compares fixed-k partial reduction against the ECVQ

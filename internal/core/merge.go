@@ -52,14 +52,6 @@ type MergeConfig struct {
 	Seeder kmeans.Seeder
 	// Mode selects collective (default, paper) or incremental merging.
 	Mode MergeMode
-	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config):
-	// incremental cluster sums and a stop at the assignment fixpoint.
-	// Both iterations skip the distance work their bounds rule out.
-	Accelerate bool
-	// Workers, when >= 2, shards each merge Lloyd iteration's assignment
-	// sweep across that many goroutines. Deterministic per worker count;
-	// across counts results agree up to floating-point summation order.
-	Workers int
 	// Solver selects the merge iteration kernel ("" or kmeans.SolverLloyd
 	// = full Lloyd; kmeans.SolverMiniBatch = sampled gradient steps with
 	// per-center learning rates — the warm-startable fast-query path).
@@ -86,8 +78,6 @@ func (c MergeConfig) kmeansConfig() kmeans.Config {
 		Epsilon:       c.Epsilon,
 		MaxIterations: c.MaxIterations,
 		Seeder:        seeder,
-		Accelerate:    c.Accelerate,
-		Workers:       c.Workers,
 		Solver:        c.Solver,
 	}
 }

@@ -32,10 +32,6 @@ type PartialConfig struct {
 	// Seeder overrides the initial-centroid strategy (nil = random, as
 	// in the paper).
 	Seeder kmeans.Seeder
-	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config):
-	// incremental cluster sums and a stop at the assignment fixpoint.
-	// Both iterations skip the distance work their bounds rule out.
-	Accelerate bool
 	// Workers, when >= 2, fans the Restarts runs across that many
 	// goroutines (§3.4's option 2 applied inside one partial operator).
 	// Results are bit-identical to serial execution for any value.
@@ -58,7 +54,6 @@ func (c PartialConfig) kmeansConfig() kmeans.Config {
 		Epsilon:       c.Epsilon,
 		MaxIterations: c.MaxIterations,
 		Seeder:        c.Seeder,
-		Accelerate:    c.Accelerate,
 		Parallel:      c.Workers,
 	}
 }

@@ -42,11 +42,6 @@ type Options struct {
 	// Seed derives all randomness for the run; equal seeds reproduce
 	// results exactly.
 	Seed uint64
-	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config) in
-	// both the partial and merge steps: incremental cluster sums and a
-	// stop at the assignment fixpoint. Both iterations skip the distance
-	// work their bounds rule out.
-	Accelerate bool
 	// Workers, when >= 2, fans each partial operator's Restarts across
 	// that many goroutines. Results stay bit-identical to serial
 	// execution for any value.
@@ -104,7 +99,6 @@ func (o Options) PartialConfig() PartialConfig {
 		Restarts:      o.Restarts,
 		Epsilon:       o.Epsilon,
 		MaxIterations: o.MaxIterations,
-		Accelerate:    o.Accelerate,
 		Seeder:        o.PartialSeeder,
 		Workers:       o.Workers,
 	}
@@ -128,7 +122,6 @@ func (o Options) MergeConfig() MergeConfig {
 		MaxIterations: o.MaxIterations,
 		Seeder:        seeder,
 		Mode:          o.MergeMode,
-		Accelerate:    o.Accelerate,
 		Solver:        o.MergeSolver,
 	}
 }

@@ -50,7 +50,8 @@ func SummarizerNames() []string {
 }
 
 // ErrUnknownSummarizer is returned (wrapped) when an operator name or
-// encoded spec does not match a built-in summarizer.
+// encoded spec does not match a built-in summarizer, including a spec
+// carrying a param the operator does not read.
 var ErrUnknownSummarizer = errors.New("core: unknown summarizer operator")
 
 // SummarizerSpec identifies a summarizer operator and its parameters in
@@ -175,19 +176,6 @@ func (p *specParams) Float(key string, def float64) float64 {
 	return f
 }
 
-func (p *specParams) Bool(key string, def bool) bool {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		p.fail(key, v, err)
-		return def
-	}
-	return b
-}
-
 func (p *specParams) Str(key, def string) string {
 	v, ok := p.lookup(key)
 	if !ok {
@@ -204,7 +192,7 @@ func (p *specParams) finish() error {
 	}
 	for k := range p.spec.Params {
 		if !p.seen[k] {
-			return fmt.Errorf("core: summarizer spec %q: unknown param %q", p.spec.Encode(), k)
+			return fmt.Errorf("core: summarizer spec %q: %w: unknown param %q", p.spec.Encode(), ErrUnknownSummarizer, k)
 		}
 	}
 	return nil
@@ -281,7 +269,6 @@ func NewSummarizer(spec SummarizerSpec) (Summarizer, error) {
 			Restarts:      p.Int("restarts", 0),
 			Epsilon:       p.Float("epsilon", 0),
 			MaxIterations: p.Int("maxiter", 0),
-			Accelerate:    p.Bool("accel", false),
 			Workers:       p.Int("workers", 0),
 		}
 		seedMethod := p.Str("seed", "")
@@ -354,9 +341,6 @@ func (s *KMeansSummarizer) Spec() SummarizerSpec {
 	}
 	if s.cfg.MaxIterations != 0 {
 		params["maxiter"] = strconv.Itoa(s.cfg.MaxIterations)
-	}
-	if s.cfg.Accelerate {
-		params["accel"] = "true"
 	}
 	if s.cfg.Workers != 0 {
 		params["workers"] = strconv.Itoa(s.cfg.Workers)

@@ -36,12 +36,11 @@ type WindowConfig struct {
 	// WindowChunks is W, the number of recent chunks the clustering
 	// covers.
 	WindowChunks int
-	// Restarts, Epsilon, MaxIterations, Accelerate tune the inner
-	// k-means (Restarts 0 = 1).
+	// Restarts, Epsilon, MaxIterations tune the inner k-means
+	// (Restarts 0 = 1).
 	Restarts      int
 	Epsilon       float64
 	MaxIterations int
-	Accelerate    bool
 	// Seed drives all randomness.
 	Seed uint64
 	// MergeSolver selects the snapshot merge kernel
@@ -87,7 +86,6 @@ func NewWindowedClusterer(dim int, cfg WindowConfig) (*WindowedClusterer, error)
 		Restarts:      restarts,
 		Epsilon:       cfg.Epsilon,
 		MaxIterations: cfg.MaxIterations,
-		Accelerate:    cfg.Accelerate,
 	})
 	if err != nil {
 		return nil, err
@@ -101,7 +99,6 @@ func NewWindowedClusterer(dim int, cfg WindowConfig) (*WindowedClusterer, error)
 		Epsilon:       cfg.Epsilon,
 		MaxIterations: cfg.MaxIterations,
 		Seeder:        kmeans.HeaviestSeeder{},
-		Accelerate:    cfg.Accelerate,
 		Solver:        cfg.MergeSolver,
 	}
 	return &WindowedClusterer{

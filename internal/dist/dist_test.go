@@ -152,7 +152,7 @@ func TestChunkPayloadRoundTrip(t *testing.T) {
 	points := distCell(t, 50, 7)
 	r := rng.New(99)
 	r.Uint64() // advance so the state is not the seed-fresh one
-	summ, err := core.NewKMeansSummarizer(core.PartialConfig{K: 4, Restarts: 3, Epsilon: 1e-7, MaxIterations: 40, Accelerate: true, Workers: 2})
+	summ, err := core.NewKMeansSummarizer(core.PartialConfig{K: 4, Restarts: 3, Epsilon: 1e-7, MaxIterations: 40, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,25 +87,30 @@ func TestWorkerAllowlistRefusesOperator(t *testing.T) {
 }
 
 // TestWorkerRefusesUnknownOperatorName: a spec naming an operator this
-// binary does not implement (version skew) fails with the typed error
-// rather than running some default.
+// binary does not implement, or a param it does not read (an older
+// coordinator's accel=true), is version skew: it fails with the typed
+// error rather than running some default.
 func TestWorkerRefusesUnknownOperatorName(t *testing.T) {
 	addrs, stop := startWorkers(t, 1, WorkerConfig{})
 	defer stop()
-	pool, err := NewPool(context.Background(), PoolConfig{Addrs: addrs, Retry: quickRetry(1), Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	_, _, err = pool.Partial(context.Background(), engine.RemoteChunk{
-		Cell: 0, Chunk: 0, Total: 1, Points: distCell(t, 60, 4), RNG: rng.New(1),
-		Spec: core.SummarizerSpec{Name: "birch", Params: map[string]string{"k": "4"}},
-	})
-	if err == nil {
-		t.Fatal("unknown operator computed")
-	}
-	if !strings.Contains(err.Error(), ErrUnknownOperator.Error()) {
-		t.Fatalf("failure does not carry the typed error: %v", err)
+	for _, spec := range []core.SummarizerSpec{
+		{Name: "birch", Params: map[string]string{"k": "4"}},
+		{Name: "kmeans", Params: map[string]string{"k": "4", "restarts": "1", "accel": "true"}},
+	} {
+		// A fresh pool per spec: the refusal evicts the worker.
+		pool, err := NewPool(context.Background(), PoolConfig{Addrs: addrs, Retry: quickRetry(1), Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = pool.Partial(context.Background(), engine.RemoteChunk{
+			Cell: 0, Chunk: 0, Total: 1, Points: distCell(t, 60, 4), RNG: rng.New(1), Spec: spec,
+		})
+		pool.Close()
+		if err == nil {
+			t.Fatalf("%s computed", spec.Encode())
+		}
+		if !strings.Contains(err.Error(), ErrUnknownOperator.Error()) {
+			t.Fatalf("%s: failure does not carry the typed error: %v", spec.Encode(), err)
+		}
 	}
 }

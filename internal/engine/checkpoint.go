@@ -151,16 +151,15 @@ func (j *Journal) Operator() string {
 }
 
 // operatorIdentity normalizes a spec encoding for resume-compatibility
-// comparison: execution-shape params that never change the summary bits
-// (restart fan-out workers, the accelerated Lloyd toggle) are dropped,
-// so a checkpoint taken on an 8-core worker pool resumes on a laptop.
+// comparison: the restart fan-out (workers), which never changes the
+// summary bits, is dropped, so a checkpoint taken on an 8-core worker
+// pool resumes on a laptop.
 func operatorIdentity(enc string) string {
 	spec, err := core.ParseSummarizerSpec(enc)
 	if err != nil {
 		return enc
 	}
 	delete(spec.Params, "workers")
-	delete(spec.Params, "accel")
 	return spec.Encode()
 }
 

@@ -34,10 +34,6 @@ type Query struct {
 	MergeMode core.MergeMode
 	// Seed derives all randomness.
 	Seed uint64
-	// Accelerate selects Hamerly's Lloyd iteration (kmeans.Config) in
-	// both operator kinds: incremental cluster sums and a stop at the
-	// assignment fixpoint.
-	Accelerate bool
 	// Workers, when >= 2, fans each partial operator's Restarts across
 	// that many goroutines (§3.4 option 2, inside one operator).
 	// Orthogonal to the optimizer's clone count, and bit-identical to
@@ -58,7 +54,7 @@ type Query struct {
 	// (kmeans.SolverNames; "" = full Lloyd, "minibatch" = sampled
 	// gradient steps). Labeled in plans, traces, and metrics as
 	// "merge-minibatch"; journals are unaffected (the merge re-runs on
-	// resume from journaled partials, like Accelerate).
+	// resume from journaled partials).
 	MergeSolver string
 	// CoresetSize is the coreset operator's output size m (0 = 10*K).
 	CoresetSize int
@@ -248,7 +244,6 @@ func (q Query) partialConfig() core.PartialConfig {
 		Restarts:      q.Restarts,
 		Epsilon:       q.Epsilon,
 		MaxIterations: q.MaxIterations,
-		Accelerate:    q.Accelerate,
 		Workers:       q.Workers,
 	}
 }
@@ -266,7 +261,6 @@ func (q Query) mergeConfig() core.MergeConfig {
 		MaxIterations: q.MaxIterations,
 		Seeder:        seeder,
 		Mode:          q.MergeMode,
-		Accelerate:    q.Accelerate,
 		Solver:        q.MergeSolver,
 	}
 }

@@ -136,13 +136,26 @@ func TestJournalOperatorBinding(t *testing.T) {
 		t.Fatalf("cross-operator rebind: %v", err)
 	}
 
-	// Execution-shape params (workers, accel) never change summary bits,
-	// so a checkpoint resumes across machines with different fan-out.
+	// The restart fan-out (workers) never changes summary bits, so a
+	// checkpoint resumes across machines with different fan-out.
 	shaped := core.SummarizerSpec{Name: "kmeans", Params: map[string]string{
-		"k": "5", "restarts": "2", "workers": "8", "accel": "true",
+		"k": "5", "restarts": "2", "workers": "8",
 	}}
 	if err := j.bind(runOf(shaped)); err != nil {
 		t.Fatalf("shape-only param change refused: %v", err)
+	}
+
+	// Older builds recorded Hamerly's iteration as accel=true. Its
+	// summaries differ from the kept iteration's, so such a journal
+	// must not resume here.
+	hamerly := NewJournal()
+	if err := hamerly.bind(runOf(core.SummarizerSpec{Name: "kmeans", Params: map[string]string{
+		"k": "5", "restarts": "2", "accel": "true",
+	}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := hamerly.bind(runOf(kmeansSpec)); !errors.Is(err, ErrJournalMismatch) {
+		t.Fatalf("accel journal resumed on the default iteration: %v", err)
 	}
 
 	// But a param that changes the bits must refuse.

@@ -45,19 +45,3 @@ func TestExecuteRecordsSpans(t *testing.T) {
 		t.Fatalf("timeline missing lanes:\n%s", out)
 	}
 }
-
-func TestQueryAccelerateRuns(t *testing.T) {
-	cells := []Cell{{Key: grid.CellKey{}, Points: engineCell(t, 500, 62)}}
-	q := Query{K: 8, Restarts: 2, Seed: 9, Accelerate: true}
-	plan := PhysicalPlan{ChunkPoints: 250, PartialClones: 1, QueueCapacity: 4}
-	results, _, err := Execute(context.Background(), cells, q, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results[0].Result.Centroids) != 8 {
-		t.Fatalf("centroids = %d", len(results[0].Result.Centroids))
-	}
-	if results[0].PointMSE > 5 {
-		t.Fatalf("accelerated engine run lost quality: %g", results[0].PointMSE)
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the bounded assignment sweep behind every full
-// Lloyd pass (assignSerial, the assignPool workers and finishResult) —
+// Lloyd pass (assignSerial and finishResult) —
 // the paper's §2 remark that step 2's re-sorting of points can be
 // limited with bounds, applied without changing a single output bit.
 //
@@ -145,8 +145,7 @@ func (sc *scratch) endSweep(evals int64) {
 // squared distance, bit-identical to vector.NearestIndexFlat over the
 // current centroids, plus the distance evaluations it spent. It reads
 // the point's previous assignment and maintains its lower bound; the
-// caller records the assignment. Distinct points touch distinct state,
-// so the pool's workers run it concurrently on disjoint segments.
+// caller records the assignment.
 func (sc *scratch) nearest(i int, x []float64) (int, float64, int) {
 	k, dim := sc.k, sc.dim
 	switch sc.mode {

@@ -13,10 +13,9 @@ import (
 // referenceLloyd is the plain full-scan Lloyd iteration — every point
 // scans every centroid with vector.NearestIndexFlat in every sweep —
 // that the bounded sweep must reproduce bit for bit. It keeps runNaive's
-// arithmetic order: a serial sweep accumulates straight into the
-// totals, a sharded one per Workers segment reduced in segment order;
-// an empty cluster reseeds onto the farthest cached point and folds the
-// cache; a final serial pass reports the state.
+// arithmetic order: a sweep accumulates straight into the totals; an
+// empty cluster reseeds onto the farthest cached point and folds the
+// cache; a final pass reports the state.
 func referenceLloyd(points *dataset.WeightedSet, seeds []vector.Vector, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	n, dim, k := points.Len(), points.Dim(), len(seeds)
@@ -31,9 +30,12 @@ func referenceLloyd(points *dataset.WeightedSet, seeds []vector.Vector, cfg Conf
 	weights := make([]float64, k)
 	sums := make([]float64, k*dim)
 
-	accumulate := func(lo, hi int, counts []int, weights, sums []float64) float64 {
+	sweep := func() float64 {
+		clear(counts)
+		clear(weights)
+		clear(sums)
 		var sse float64
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			x := data[i*dim : (i+1)*dim]
 			j, d := vector.NearestIndexFlat(x, cent, k, dim)
 			assign[i], dists[i] = j, d
@@ -44,29 +46,6 @@ func referenceLloyd(points *dataset.WeightedSet, seeds []vector.Vector, cfg Conf
 				sums[j*dim+t] += w * xv
 			}
 			sse += d * w
-		}
-		return sse
-	}
-	sweep := func() float64 {
-		clear(counts)
-		clear(weights)
-		clear(sums)
-		if cfg.Workers < 2 {
-			return accumulate(0, n, counts, weights, sums)
-		}
-		segs := min(cfg.Workers, n)
-		var sse float64
-		for s := 0; s < segs; s++ {
-			sc, sw, ss := make([]int, k), make([]float64, k), make([]float64, k*dim)
-			segSSE := accumulate(n*s/segs, n*(s+1)/segs, sc, sw, ss)
-			for j := 0; j < k; j++ {
-				counts[j] += sc[j]
-				weights[j] += sw[j]
-				for t := 0; t < dim; t++ {
-					sums[j*dim+t] += ss[j*dim+t]
-				}
-			}
-			sse += segSSE
 		}
 		return sse
 	}
@@ -186,22 +165,17 @@ func diffResults(got, want *Result) error {
 	return nil
 }
 
-// checkAgainstReference runs the production Lloyd path from seeds under
-// every worker count and requires each result to match the reference
-// bit for bit.
+// checkAgainstReference runs the production Lloyd path from seeds and
+// requires the result to match the reference bit for bit.
 func checkAgainstReference(t *testing.T, name string, pts *dataset.WeightedSet, seeds []vector.Vector, cfg Config) {
 	t.Helper()
-	for _, workers := range []int{0, 2, 4} {
-		c := cfg
-		c.K = len(seeds)
-		c.Workers = workers
-		got, err := RunFromCentroids(pts, seeds, c)
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", name, workers, err)
-		}
-		if err := diffResults(got, referenceLloyd(pts, seeds, c)); err != nil {
-			t.Fatalf("%s workers=%d: %v", name, workers, err)
-		}
+	cfg.K = len(seeds)
+	got, err := RunFromCentroids(pts, seeds, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := diffResults(got, referenceLloyd(pts, seeds, cfg)); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -233,8 +207,8 @@ func mixture(n, dim, k int, weighted bool, seed uint64) *dataset.WeightedSet {
 }
 
 // TestBoundedSweepMatchesReference is the differential suite: across
-// dimensions (specialized and generic kernels), k, weighting, epsilon
-// and worker counts, the bounded sweep is bit-identical to full scans.
+// dimensions (specialized and generic kernels), k, weighting and
+// epsilon, the bounded sweep is bit-identical to full scans.
 func TestBoundedSweepMatchesReference(t *testing.T) {
 	for _, dim := range []int{2, 3, 6, 7, 8} {
 		for _, k := range []int{1, 2, 8, 40} {
@@ -347,7 +321,7 @@ const goldenNaiveDistanceEvals = 71769
 // must stay under: half of what full scans spend.
 func TestDistanceEvalsGoldenNaive(t *testing.T) {
 	for _, parallel := range []int{0, 4} {
-		rr := goldenRestartRun(t, false, parallel)
+		rr := goldenRestartRun(t, parallel)
 		if rr.DistanceEvals != goldenNaiveDistanceEvals {
 			t.Fatalf("Parallel=%d: DistanceEvals = %d, want %d", parallel, rr.DistanceEvals, goldenNaiveDistanceEvals)
 		}
@@ -356,24 +330,46 @@ func TestDistanceEvalsGoldenNaive(t *testing.T) {
 			t.Fatalf("DistanceEvals = %d, above half of the full-scan %d", rr.DistanceEvals, full)
 		}
 	}
-	s := randomWeighted(300, 7)
-	seeds, err := (RandomSeeder{}).Seed(s, 6, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestNearestTwoFlat checks the sweep's full scan: the nearest
+// centroid, its squared distance, and the lower bound reset to the
+// second-nearest distance, capped at maxDist when there is none.
+func TestNearestTwoFlat(t *testing.T) {
+	sc := newScratch(1, 3, 1)
+	copy(sc.cent, []float64{0, 10, 3}) // three 1-D centroids
+	best, d, evals := sc.scan(0, []float64{2})
+	if best != 2 || d != 1 || evals != 3 {
+		t.Fatalf("scan = (%d, %g, %d), want (2, 1, 3)", best, d, evals)
 	}
-	serial, err := RunFromCentroids(s, seeds, Config{K: 6})
-	if err != nil {
-		t.Fatal(err)
+	if sc.lower[0] != 2 {
+		t.Fatalf("lower bound = %g, want 2", sc.lower[0])
 	}
-	for _, workers := range []int{2, 4} {
-		res, err := RunFromCentroids(s, seeds, Config{K: 6, Workers: workers})
+	one := newScratch(1, 1, 1)
+	if b, _, _ := one.scan(0, []float64{2}); b != 0 || one.lower[0] != maxDist {
+		t.Fatalf("single centroid: best %d, lower bound %g, want 0, %g", b, one.lower[0], maxDist)
+	}
+}
+
+// BenchmarkLloydNaiveK40 runs one Lloyd problem at the paper's K and
+// reports its distance evaluations next to the time.
+func BenchmarkLloydNaiveK40(b *testing.B) {
+	s := randomWeighted(5000, 1)
+	seeds, err := (RandomSeeder{}).Seed(s, 40, rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var evals int64
+	for i := 0; i < b.N; i++ {
+		res, err := RunFromCentroids(s, seeds, Config{K: 40})
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-		if res.DistanceEvals != serial.DistanceEvals {
-			t.Fatalf("Workers=%d: DistanceEvals %d differs from serial %d", workers, res.DistanceEvals, serial.DistanceEvals)
-		}
+		evals += res.DistanceEvals
 	}
+	b.ReportMetric(float64(evals)/float64(b.N), "dist-evals/op")
 }
 
 // fuzzReader hands out the fuzz input byte by byte, then zeros.
@@ -396,12 +392,11 @@ func (r *fuzzReader) float() float64 {
 	return math.Float64frombits(u)
 }
 
-// FuzzLloydBounded decodes a small Lloyd problem — shape, worker count,
-// empty policy, coordinates drawn from a tie-heavy integer grid, the
-// ±1e154 overflow band or raw float64 bits (NaN, ±Inf, subnormals),
-// weights including zero, and seeds picked from the points (so they
-// coincide) — and requires the production path to match referenceLloyd
-// bit for bit.
+// FuzzLloydBounded decodes a small Lloyd problem — shape, empty policy,
+// coordinates drawn from a tie-heavy integer grid, the ±1e154 overflow
+// band or raw float64 bits (NaN, ±Inf, subnormals), weights including
+// zero, and seeds picked from the points (so they coincide) — and
+// requires the production path to match referenceLloyd bit for bit.
 func FuzzLloydBounded(f *testing.F) {
 	f.Add([]byte{2, 20, 3, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{5, 40, 8, 1, 1, 0, 200, 210, 220, 250, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -410,8 +405,8 @@ func FuzzLloydBounded(f *testing.F) {
 		dim := 1 + int(r.next()%8)
 		n := 1 + int(r.next()%48)
 		k := 1 + int(r.next()%12)
+		r.next() // once a worker count; still read so the corpus decodes unchanged
 		cfg := Config{
-			Workers:       []int{0, 2, 3}[r.next()%3],
 			EmptyPolicy:   EmptyClusterPolicy(r.next() % 2),
 			MaxIterations: 1 + int(r.next()%40),
 		}

@@ -53,21 +53,6 @@ type Config struct {
 	Seeder Seeder
 	// EmptyPolicy selects the empty-cluster repair.
 	EmptyPolicy EmptyClusterPolicy
-	// Accelerate selects Hamerly's Lloyd iteration. Both iterations use
-	// §2's "improvements for step 2" to skip distance work: the default
-	// one skips only the centroid scans that provably cannot change an
-	// assignment, so it returns exactly the full-scan answer (bounds.go).
-	// Hamerly's differs in two ways: it updates cluster sums
-	// incrementally, and it runs to the assignment fixpoint, where the
-	// ΔMSE criterion holds trivially, so Epsilon is ignored. It reaches
-	// the same fixpoints up to floating-point summation order.
-	Accelerate bool
-	// Workers, when >= 2, shards each naive Lloyd iteration's
-	// assignment pass across that many goroutines (§3.4's option 3:
-	// parallelizing SortDataPoint inside the operator). Results are
-	// deterministic per worker count; across counts they agree up to
-	// floating-point summation order. Ignored by the accelerated path.
-	Workers int
 	// Parallel, when >= 2, fans RunRestarts' independent runs across
 	// that many worker goroutines (§3.4's option 2: running the restarts
 	// of one partial k-means concurrently). Seed sets are pre-derived
@@ -81,8 +66,7 @@ type Config struct {
 	// points): BatchSize points sampled per step from a dedicated
 	// sampling stream, with only the sampled centers moved under
 	// per-center learning rates. The mini-batch kernel ignores
-	// Accelerate, Workers, and EmptyPolicy (an unsampled center simply
-	// stays put).
+	// EmptyPolicy (an unsampled center simply stays put).
 	Solver string
 	// BatchSize is the mini-batch sample size per gradient step
 	// (0 = 10*K). Mini-batch solver only.
@@ -191,15 +175,13 @@ type Result struct {
 	Converged bool
 	// DeltaMSE is the final iteration's MSE improvement (MSE(n-1) -
 	// MSE(n)) — at convergence, the residual the Epsilon criterion
-	// accepted. It is 0 when fewer than two iterations ran and on the
-	// accelerated path, which iterates to the assignment fixpoint where
-	// the criterion holds trivially.
+	// accepted. It is 0 when fewer than two iterations ran.
 	DeltaMSE float64
 	// DistanceEvals counts the distances the iteration computed,
 	// point-to-centroid and centroid-to-centroid alike, including the
 	// final consistent pass but not the seeding — the machine-independent
 	// cost measure of Capó et al. (PAPERS.md). It depends only on the
-	// input, so it is identical across worker counts.
+	// input, so it is identical across restart worker counts.
 	DistanceEvals int64
 }
 
@@ -271,7 +253,7 @@ func RunFromCentroids(points *dataset.WeightedSet, initial []vector.Vector, cfg 
 	return runLloyd(points, centroids, cfg, nil)
 }
 
-// runLloyd dispatches to the naive or accelerated iteration core.
+// runLloyd dispatches to the full Lloyd or mini-batch iteration core.
 // centroids is owned by the callee. sc may be nil (a private scratch is
 // used) or a reusable scratch sized for points and cfg.K — RunRestarts
 // passes one per worker so consecutive runs allocate nothing.
@@ -282,22 +264,21 @@ func runLloyd(points *dataset.WeightedSet, centroids []vector.Vector, cfg Config
 	if cfg.Solver == SolverMiniBatch {
 		return runMiniBatch(points, centroids, cfg, sc)
 	}
-	if cfg.Accelerate {
-		return runHamerly(points, centroids, cfg, sc)
-	}
 	return runNaive(points, centroids, cfg, sc)
 }
 
 // runNaive is the textbook Lloyd iteration (§2 of the paper), executed
 // over the flat point slab with every mutable buffer owned by sc: after
-// the scratch warms up, iterations perform zero heap allocations.
+// the scratch warms up, iterations perform zero heap allocations. Its
+// assignment sweep skips the centroid scans that bounds prove cannot
+// change an assignment (bounds.go), so it returns exactly the full-scan
+// answer.
 func runNaive(points *dataset.WeightedSet, centroids []vector.Vector, cfg Config, sc *scratch) (*Result, error) {
 	n := points.Len()
 	dim := points.Dim()
 	k := len(centroids)
 	if sc == nil || sc.n != n || sc.k != k || sc.dim != dim {
 		sc = newScratch(n, k, dim)
-		defer sc.release()
 	}
 	data, wts := points.Data(), points.Weights()
 	sc.loadCentroids(centroids)
@@ -306,15 +287,10 @@ func runNaive(points *dataset.WeightedSet, centroids []vector.Vector, cfg Config
 	prevMSE := 0.0
 	res := &Result{}
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		// Step 2: distance calculation / assignment, optionally sharded
-		// across workers (§3.4 option 3). The sweep also caches each
-		// point's squared distance to its centroid in sc.dists.
-		var sse float64
-		if cfg.Workers >= 2 {
-			sse = sc.assignParallel(data, wts, cfg.Workers)
-		} else {
-			sse = sc.assignSerial(data, wts)
-		}
+		// Step 2: distance calculation / assignment. The sweep also
+		// caches each point's squared distance to its centroid in
+		// sc.dists.
+		sse := sc.assignSerial(data, wts)
 
 		// Step 3: centroid recalculation (weighted mean jump).
 		for j := 0; j < k; j++ {
@@ -427,7 +403,6 @@ func RunRestarts(points *dataset.WeightedSet, cfg Config, restarts int, r *rng.R
 	}
 	if workers < 2 {
 		sc := newScratch(points.Len(), cfg.K, points.Dim())
-		defer sc.release()
 		for run := 0; run < restarts; run++ {
 			results[run], errs[run] = runLloyd(points, seedSets[run], cfgFor(run), sc)
 		}
@@ -439,7 +414,6 @@ func RunRestarts(points *dataset.WeightedSet, cfg Config, restarts int, r *rng.R
 			go func() {
 				defer wg.Done()
 				sc := newScratch(points.Len(), cfg.K, points.Dim())
-				defer sc.release()
 				for run := range next {
 					results[run], errs[run] = runLloyd(points, seedSets[run], cfgFor(run), sc)
 				}

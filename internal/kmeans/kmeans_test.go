@@ -28,6 +28,17 @@ func twoBlobs(t *testing.T, perBlob int) *dataset.WeightedSet {
 	return s
 }
 
+// randomWeighted builds n weighted 3-D points.
+func randomWeighted(n int, seed uint64) *dataset.WeightedSet {
+	r := rng.New(seed)
+	s := dataset.MustNewWeightedSet(3)
+	for i := 0; i < n; i++ {
+		v := vector.Of(r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
+		_ = s.Add(dataset.WeightedPoint{Vec: v, Weight: 0.5 + r.Float64()})
+	}
+	return s
+}
+
 func TestRunValidation(t *testing.T) {
 	s := twoBlobs(t, 5)
 	if _, err := Run(s, Config{K: 0}, rng.New(1)); err == nil {

@@ -42,7 +42,6 @@ func runMiniBatch(points *dataset.WeightedSet, centroids []vector.Vector, cfg Co
 	k := len(centroids)
 	if sc == nil || sc.n != n || sc.k != k || sc.dim != dim {
 		sc = newScratch(n, k, dim)
-		defer sc.release()
 	}
 	sc.ensureMiniBatch()
 	data, wts := points.Data(), points.Weights()

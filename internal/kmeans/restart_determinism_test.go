@@ -21,19 +21,11 @@ const (
 
 	goldenNaiveCsum       = uint64(0x485725bdb73caf53)
 	goldenNaiveTotalIters = 91
-
-	goldenHamerlyCsum       = uint64(0xc0f7506bdce725f7)
-	goldenHamerlyTotalIters = 86
 )
 
 var goldenNaiveMSEs = [goldenRestarts]uint64{
 	0x405cd0c34bcf8051, 0x405d00614f347cfb, 0x405d7fc531e2593c,
 	0x405c858927d0be6b, 0x405cbbf1ea1e90f8,
-}
-
-var goldenHamerlyMSEs = [goldenRestarts]uint64{
-	0x405cd0c34bcf804e, 0x405d00614f347cfd, 0x405d7fc531e2593a,
-	0x405c858927d0be6b, 0x405cbbf1ea1e90f6,
 }
 
 // centroidChecksum folds every centroid component's bit pattern through
@@ -50,10 +42,10 @@ func centroidChecksum(res *Result) uint64 {
 	return csum
 }
 
-func goldenRestartRun(t *testing.T, accelerate bool, parallel int) *RestartResult {
+func goldenRestartRun(t *testing.T, parallel int) *RestartResult {
 	t.Helper()
 	s := randomWeighted(300, 7)
-	cfg := Config{K: 6, Accelerate: accelerate, Parallel: parallel}
+	cfg := Config{K: 6, Parallel: parallel}
 	rr, err := RunRestarts(s, cfg, goldenRestarts, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
@@ -88,43 +80,29 @@ func checkGolden(t *testing.T, rr *RestartResult, parallel int,
 // counts.
 func TestRestartsMatchPreRefactorGoldenNaive(t *testing.T) {
 	for _, parallel := range []int{0, 1, 2, 4, 8} {
-		rr := goldenRestartRun(t, false, parallel)
+		rr := goldenRestartRun(t, parallel)
 		checkGolden(t, rr, parallel, goldenNaiveMSEs, goldenNaiveCsum, goldenNaiveTotalIters)
-	}
-}
-
-// TestRestartsMatchPreRefactorGoldenHamerly pins the accelerated path
-// the same way.
-func TestRestartsMatchPreRefactorGoldenHamerly(t *testing.T) {
-	for _, parallel := range []int{0, 1, 2, 4, 8} {
-		rr := goldenRestartRun(t, true, parallel)
-		checkGolden(t, rr, parallel, goldenHamerlyMSEs, goldenHamerlyCsum, goldenHamerlyTotalIters)
 	}
 }
 
 // TestRestartsBitIdenticalAcrossWorkerCounts compares complete winning
 // results — every centroid component and every assignment — across
-// Parallel settings, for both iteration cores.
+// Parallel settings.
 func TestRestartsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	for _, accelerate := range []bool{false, true} {
-		base := goldenRestartRun(t, accelerate, 1)
-		for _, parallel := range []int{2, 4, 8} {
-			rr := goldenRestartRun(t, accelerate, parallel)
-			if rr.BestRun != base.BestRun {
-				t.Fatalf("accelerate=%v Parallel=%d: BestRun %d vs %d",
-					accelerate, parallel, rr.BestRun, base.BestRun)
+	base := goldenRestartRun(t, 1)
+	for _, parallel := range []int{2, 4, 8} {
+		rr := goldenRestartRun(t, parallel)
+		if rr.BestRun != base.BestRun {
+			t.Fatalf("Parallel=%d: BestRun %d vs %d", parallel, rr.BestRun, base.BestRun)
+		}
+		for j := range base.Best.Centroids {
+			if !rr.Best.Centroids[j].Equal(base.Best.Centroids[j]) {
+				t.Fatalf("Parallel=%d: centroid %d differs bitwise", parallel, j)
 			}
-			for j := range base.Best.Centroids {
-				if !rr.Best.Centroids[j].Equal(base.Best.Centroids[j]) {
-					t.Fatalf("accelerate=%v Parallel=%d: centroid %d differs bitwise",
-						accelerate, parallel, j)
-				}
-			}
-			for i := range base.Best.Assignments {
-				if rr.Best.Assignments[i] != base.Best.Assignments[i] {
-					t.Fatalf("accelerate=%v Parallel=%d: assignment %d differs",
-						accelerate, parallel, i)
-				}
+		}
+		for i := range base.Best.Assignments {
+			if rr.Best.Assignments[i] != base.Best.Assignments[i] {
+				t.Fatalf("Parallel=%d: assignment %d differs", parallel, i)
 			}
 		}
 	}
@@ -153,7 +131,6 @@ func TestLloydSteadyStateAllocsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := newScratch(s.Len(), 8, 3)
-	defer sc.release()
 	sc.loadCentroids(seeds)
 	data, wts := s.Data(), s.Weights()
 	sc.assignSerial(data, wts) // warm up
@@ -171,26 +148,5 @@ func TestLloydSteadyStateAllocsSerial(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Lloyd iteration allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestLloydSteadyStateAllocsParallel verifies the same for the sharded
-// sweep once the worker pool is warm.
-func TestLloydSteadyStateAllocsParallel(t *testing.T) {
-	s := randomWeighted(400, 5)
-	seeds, err := (RandomSeeder{}).Seed(s, 8, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newScratch(s.Len(), 8, 3)
-	defer sc.release()
-	sc.loadCentroids(seeds)
-	data, wts := s.Data(), s.Weights()
-	sc.assignParallel(data, wts, 4) // warm up: builds the pool
-	allocs := testing.AllocsPerRun(50, func() {
-		sc.assignParallel(data, wts, 4)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm sharded sweep allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -6,11 +6,10 @@ import (
 
 // scratch owns every mutable buffer a Lloyd run needs, so steady-state
 // iterations allocate nothing: assignments, the per-point distance cache,
-// per-cluster statistics, the flat centroid matrix, the sweep bounds, and
-// (when assignment sharding is on) the persistent worker pool. One
-// scratch serves one run at a time; RunRestarts gives each restart worker
-// its own and reuses it across that worker's runs. A run's Result copies
-// out of the scratch, so reuse cannot clobber earlier results.
+// per-cluster statistics, the flat centroid matrix and the sweep bounds.
+// One scratch serves one run at a time; RunRestarts gives each restart
+// worker its own and reuses it across that worker's runs. A run's Result
+// copies out of the scratch, so reuse cannot clobber earlier results.
 type scratch struct {
 	n, k, dim int
 
@@ -24,10 +23,10 @@ type scratch struct {
 	sums    []float64 // k*dim, flat
 	cent    []float64 // k*dim, flat centroid matrix
 
-	// Bound state shared by the bounded sweep (bounds.go) and Hamerly's
-	// iteration: lower[i] bounds the distance from point i to every
-	// centroid other than assign[i], halfMin[j] is half the distance
-	// from centroid j to its nearest other centroid.
+	// Bound state of the bounded sweep (bounds.go): lower[i] bounds the
+	// distance from point i to every centroid other than assign[i],
+	// halfMin[j] is half the distance from centroid j to its nearest
+	// other centroid.
 	lower   []float64 // n
 	halfMin []float64 // k
 	// Bounded-sweep state: swept is the centroid matrix the bounds
@@ -43,20 +42,11 @@ type scratch struct {
 	// evals counts the run's distance evaluations (Result.DistanceEvals).
 	evals int64
 
-	// Hamerly-only state, allocated on first accelerated run.
-	upper   []float64
-	move    []float64
-	oldCent []float64 // dim
-
 	// mbCounts is the mini-batch solver's per-center learning-rate
 	// mass (the cumulative sampled weight behind each center),
 	// allocated on first mini-batch run. Distinct from weights, which
 	// every full evaluation sweep resets.
 	mbCounts []float64
-
-	// pool shards the assignment sweep when Config.Workers >= 2; started
-	// lazily, reused across iterations and runs, stopped by release.
-	pool *assignPool
 }
 
 func newScratch(n, k, dim int) *scratch {
@@ -82,26 +72,6 @@ func newScratch(n, k, dim int) *scratch {
 		sums:    take(k * dim),
 		cent:    take(k * dim),
 		swept:   take(k * dim),
-	}
-}
-
-// ensureHamerly allocates the buffers used only by the accelerated
-// iteration.
-func (sc *scratch) ensureHamerly() {
-	if sc.upper != nil {
-		return
-	}
-	sc.upper = make([]float64, sc.n)
-	sc.move = make([]float64, sc.k)
-	sc.oldCent = make([]float64, sc.dim)
-}
-
-// release stops the worker pool, if one was started. The slabs themselves
-// are garbage-collected with the scratch.
-func (sc *scratch) release() {
-	if sc.pool != nil {
-		sc.pool.stop()
-		sc.pool = nil
 	}
 }
 
@@ -152,61 +122,6 @@ func (sc *scratch) assignSerial(data, wts []float64) float64 {
 	}
 	sc.endSweep(evals)
 	return sse
-}
-
-// assignParallel shards the assignment sweep across workers via the
-// persistent pool and reduces the shard statistics in fixed segment
-// order — the same reduction order as the pre-pool parallelAssign, so
-// results are bit-identical per worker count.
-func (sc *scratch) assignParallel(data, wts []float64, workers int) float64 {
-	w := workers
-	if w > sc.n {
-		w = sc.n
-	}
-	if sc.pool == nil || sc.pool.w != w {
-		if sc.pool != nil {
-			sc.pool.stop()
-		}
-		sc.pool = newAssignPool(w, sc.n, sc.k, sc.dim)
-	}
-	evals := sc.beginSweep()
-	sc.pool.sweep(sc, data, wts)
-
-	k, dim := sc.k, sc.dim
-	for j := 0; j < k; j++ {
-		sc.counts[j] = 0
-		sc.weights[j] = 0
-	}
-	zeroFloats(sc.sums)
-	var sse float64
-	for s := 0; s < w; s++ {
-		sh := &sc.pool.shards[s]
-		for j := 0; j < k; j++ {
-			sc.counts[j] += sh.counts[j]
-			sc.weights[j] += sh.weights[j]
-			row := sc.sums[j*dim : (j+1)*dim]
-			srow := sh.sums[j*dim : (j+1)*dim]
-			for t := range row {
-				row[t] += srow[t]
-			}
-		}
-		sse += sh.sse
-		evals += sh.evals
-	}
-	sc.endSweep(evals)
-	return sse
-}
-
-// exactDistances refreshes the distance cache against the current
-// centroids in one O(n) pass — used by the accelerated path before a
-// reseed, where the cached bounds are not exact distances.
-func (sc *scratch) exactDistances(data []float64) {
-	dim, n := sc.dim, sc.n
-	for i := 0; i < n; i++ {
-		off := i * dim
-		sc.dists[i] = vector.SquaredDistanceFloats(data[off:off+dim], sc.cent[sc.assign[i]*dim:(sc.assign[i]+1)*dim])
-	}
-	sc.evals += int64(n)
 }
 
 // farthestCached returns the index of the point with the largest cached

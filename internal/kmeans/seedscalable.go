@@ -20,9 +20,9 @@ import (
 //
 // Determinism: Seed consumes the supplied RNG in a single sequential
 // scan order regardless of how the caller fans work out afterwards, so
-// equal RNG states produce identical seed sets for any Workers /
-// Parallel configuration (RunRestarts already pre-derives seed sets
-// serially before its fan-out).
+// equal RNG states produce identical seed sets for any Parallel
+// configuration (RunRestarts already pre-derives seed sets serially
+// before its fan-out).
 type ScalableSeeder struct {
 	// Rounds is the number of oversampling passes (0 = 5, the paper's
 	// "around 5 rounds suffice").

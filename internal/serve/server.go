@@ -292,14 +292,7 @@ func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
 		return nil, fmt.Errorf("%w: invalid session id %q", ErrBadRequest, cfg.ID)
 	}
 
-	var win *streamkm.WindowedClusterer
-	var str *streamkm.StreamClusterer
-	var err error
-	if cfg.kind() == KindWindowed {
-		win, err = streamkm.NewWindowedClusterer(cfg.Dim, cfg.windowedOptions())
-	} else {
-		str, err = streamkm.NewStreamClusterer(cfg.Dim, cfg.streamOptions())
-	}
+	win, str, err := cfg.newClusterer()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -318,10 +311,10 @@ func (s *Server) CreateSession(cfg SessionConfig) (*SessionInfo, error) {
 		return nil, ErrTooMany
 	}
 	probe := &session{cfg: cfg, win: win, str: str}
-	if budget := s.cfg.Budget.MemoryBytes; budget > 0 && s.memUsed.Load()+probe.liveCost() > budget {
+	if budget, used, cost := s.cfg.Budget.MemoryBytes, s.memUsed.Load(), probe.liveCost(); budget > 0 && cost > budget-used {
 		s.reject("memory")
 		return nil, fmt.Errorf("%w: admitting session would need %d bytes over budget %d",
-			ErrMemory, s.memUsed.Load()+probe.liveCost()-budget, budget)
+			ErrMemory, cost-(budget-used), budget)
 	}
 
 	dir := s.sessionDir(cfg.ID)
@@ -404,14 +397,8 @@ func (s *Server) recoverSession(id string) error {
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
-	} else if cfg.kind() == KindWindowed {
-		if win, err = streamkm.NewWindowedClusterer(cfg.Dim, cfg.windowedOptions()); err != nil {
-			return err
-		}
-	} else {
-		if str, err = streamkm.NewStreamClusterer(cfg.Dim, cfg.streamOptions()); err != nil {
-			return err
-		}
+	} else if win, str, err = cfg.newClusterer(); err != nil {
+		return err
 	}
 
 	push := func(seq uint64, p []float64) error {

@@ -51,7 +51,6 @@ type SessionConfig struct {
 	Restarts      int     `json:"restarts,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	MaxIterations int     `json:"max_iterations,omitempty"`
-	Accelerate    bool    `json:"accelerate,omitempty"`
 	Seed          uint64  `json:"seed"`
 	MergeSolver   string  `json:"merge_solver,omitempty"`
 	// ResyncEvery tunes the windowed kind's snapshot index.
@@ -103,7 +102,51 @@ func (c SessionConfig) validate() error {
 	if c.FsyncEvery < 0 || c.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: fsync_every and checkpoint_every must be non-negative", ErrBadRequest)
 	}
+	summaries := 2
+	if c.kind() == KindWindowed {
+		summaries = c.WindowChunks + 3
+	}
+	if _, ok := c.costEstimate(summaries); !ok {
+		return fmt.Errorf("%w: chunk_points, window_chunks, k and dim give a memory estimate beyond int64", ErrBadRequest)
+	}
 	return nil
+}
+
+// costEstimate is the working-set estimate liveCost charges for a
+// session retaining summaries k-centroid summaries: the chunk buffer
+// plus the summaries, 8 bytes per coordinate and weight. ok is false
+// when the estimate does not fit in int64.
+func (c SessionConfig) costEstimate(summaries int) (cost int64, ok bool) {
+	buffer, ok1 := mulNonNegative(c.ChunkPoints, c.Dim, 8)
+	retained, ok2 := mulNonNegative(summaries, c.K, 8*(c.Dim+1))
+	if !ok1 || !ok2 || buffer > math.MaxInt64-retained {
+		return 0, false
+	}
+	return buffer + retained, true
+}
+
+// mulNonNegative multiplies factors, reporting false when one is
+// negative (a count that wrapped) or the product overflows int64.
+func mulNonNegative(factors ...int) (int64, bool) {
+	p := int64(1)
+	for _, f := range factors {
+		if f < 0 || f > 0 && p > math.MaxInt64/int64(f) {
+			return 0, false
+		}
+		p *= int64(f)
+	}
+	return p, true
+}
+
+// newClusterer builds the session's empty clusterer: windowed or stream,
+// by kind.
+func (c SessionConfig) newClusterer() (*streamkm.WindowedClusterer, *streamkm.StreamClusterer, error) {
+	if c.kind() == KindWindowed {
+		win, err := streamkm.NewWindowedClusterer(c.Dim, c.windowedOptions())
+		return win, nil, err
+	}
+	str, err := streamkm.NewStreamClusterer(c.Dim, c.streamOptions())
+	return nil, str, err
 }
 
 func (c SessionConfig) windowedOptions() streamkm.WindowedOptions {
@@ -114,7 +157,6 @@ func (c SessionConfig) windowedOptions() streamkm.WindowedOptions {
 		Restarts:      c.Restarts,
 		Epsilon:       c.Epsilon,
 		MaxIterations: c.MaxIterations,
-		Accelerate:    c.Accelerate,
 		Seed:          c.Seed,
 		MergeSolver:   c.MergeSolver,
 		ResyncEvery:   c.ResyncEvery,
@@ -128,7 +170,6 @@ func (c SessionConfig) streamOptions() streamkm.Options {
 		Restarts:      c.Restarts,
 		Epsilon:       c.Epsilon,
 		MaxIterations: c.MaxIterations,
-		Accelerate:    c.Accelerate,
 		Seed:          c.Seed,
 		MergeSolver:   c.MergeSolver,
 		Summarizer:    c.Summarizer,
@@ -468,13 +509,18 @@ func (s *session) finalFlush() error {
 // buffer plus the retained summaries. Stream sessions grow one
 // k-centroid summary per chunk, so their estimate is refreshed after
 // every batch; windowed sessions are flat by construction.
+// validate refuses configs whose estimate overflows at creation; a
+// stream's estimate that later outgrows int64 saturates.
 func (s *session) liveCost() int64 {
-	per := int64(8 * (s.cfg.Dim + 1))
-	cost := int64(s.cfg.ChunkPoints) * int64(s.cfg.Dim) * 8
+	summaries := 0
 	if s.win != nil {
-		cost += int64(s.cfg.WindowChunks+3) * int64(s.cfg.K) * per
+		summaries = s.cfg.WindowChunks + 3
 	} else if s.str != nil {
-		cost += int64(s.str.Partials()+2) * int64(s.cfg.K) * per
+		summaries = s.str.Partials() + 2
+	}
+	cost, ok := s.cfg.costEstimate(summaries)
+	if !ok {
+		return math.MaxInt64
 	}
 	return cost
 }

@@ -313,7 +313,8 @@ func NearestIndexFlat(x []float64, flat []float64, k, dim int) (int, float64) {
 
 // NearestTwoFlat returns the index of the nearest row of the flat
 // k x dim centroid matrix plus the squared distances to the nearest and
-// second-nearest rows — the kernel behind Hamerly's bound maintenance.
+// second-nearest rows — the full scan of the bounded Lloyd sweep, which
+// keeps the second distance as the point's lower bound.
 // With k == 1 the second distance is +Inf. Rows are visited in index
 // order with strict < comparisons, so the result is bit-identical to a
 // naive scan. Panics if k <= 0 or flat is shorter than k*dim.

@@ -48,7 +48,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 echo "running benchmarks (-benchtime=10x -count=$COUNT) ..." >&2
-go test -run='^$' -bench='LloydNaiveK40|LloydHamerlyK40|LloydParallel4Workers|SeedScalableK40' \
+go test -run='^$' -bench='LloydNaiveK40|SeedScalableK40' \
   -benchtime=10x -count="$COUNT" -benchmem ./internal/kmeans | tee -a "$RAW" >&2
 go test -run='^$' -bench='CoresetTree5000to200|SnapshotCold|SnapshotWarm|MergeMiniBatch' \
   -benchtime=10x -count="$COUNT" -benchmem ./internal/core | tee -a "$RAW" >&2
@@ -80,7 +80,7 @@ BEGIN {
         if ($(f + 1) == "dist-evals/op") evals[name] = $f
 }
 END {
-    n = split("LloydNaiveK40 LloydHamerlyK40 LloydParallel4Workers SeedScalableK40 CoresetTree5000to200 SnapshotCold SnapshotWarm MergeMiniBatch SquaredDistance6D NearestIndex40Centroids", order, " ")
+    n = split("LloydNaiveK40 SeedScalableK40 CoresetTree5000to200 SnapshotCold SnapshotWarm MergeMiniBatch SquaredDistance6D NearestIndex40Centroids", order, " ")
     printf "{\n"
     printf "  \"note\": \"baseline_ns_op from the previous BENCH report; current_ns_op is best-of-count on this machine; new benchmarks self-baseline\",\n"
     printf "  \"benchmarks\": [\n"

@@ -51,6 +51,10 @@ go test -run='^$' -fuzz='^FuzzDecodeJournal$' -fuzztime=5s ./internal/engine
 # arbitrary inputs (ties, NaN/Inf, overflow); the committed corpus pins
 # the cases that broke earlier variants of the bound test.
 go test -run='^$' -fuzz='^FuzzLloydBounded$' -fuzztime=5s ./internal/kmeans
+# Session create bodies are the daemon's HTTP trust boundary: every body
+# is refused as a bad request or admitted with an estimate that fits in
+# int64; the committed corpus pins a 2^60-point chunk.
+go test -run='^$' -fuzz='^FuzzSessionConfig$' -fuzztime=5s ./internal/serve
 
 # Distributed chaos smoke: the loopback coordinator/worker suite under
 # injected frame faults must stay bit-identical to the local engine.

@@ -62,13 +62,6 @@ type Options struct {
 	MaxIterations int
 	// Seed makes runs reproducible; equal seeds give equal results.
 	Seed uint64
-	// Accelerate selects Hamerly's Lloyd iteration. Both iterations
-	// skip the distance computations their bounds rule out, and the
-	// default one still returns exactly the full-scan answer; Hamerly's
-	// updates cluster sums incrementally and stops at the assignment
-	// fixpoint instead of the Epsilon test, reaching the same fixpoints
-	// up to floating-point summation order.
-	Accelerate bool
 	// Summarizer selects the chunk-summarizer operator that reduces each
 	// partition to a weighted summary: "kmeans" (default — the paper's
 	// partial k-means), "ecvq" (entropy-constrained VQ, adaptive cluster
@@ -269,7 +262,6 @@ func (o Options) toCore() (core.Options, error) {
 		Epsilon:       o.Epsilon,
 		MaxIterations: o.MaxIterations,
 		Seed:          o.Seed,
-		Accelerate:    o.Accelerate,
 		Workers:       o.Workers,
 		Summarizer:    o.Summarizer,
 		SeedMethod:    o.SeedMethod,
@@ -403,7 +395,6 @@ func clusterOnEngine(ctx context.Context, points [][]float64, opts Options, gove
 		MergeMode:     copts.MergeMode,
 		MergeSolver:   copts.MergeSolver,
 		Seed:          copts.Seed,
-		Accelerate:    copts.Accelerate,
 		Workers:       copts.Workers,
 		Summarizer:    copts.Summarizer,
 		SeedMethod:    copts.SeedMethod,

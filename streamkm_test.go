@@ -292,23 +292,6 @@ func TestClusterWithNamedStrategiesAndModes(t *testing.T) {
 	}
 }
 
-func TestClusterAccelerated(t *testing.T) {
-	pts := blobPoints(600)
-	slow, err := Cluster(pts, Options{K: 6, Restarts: 3, Splits: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Cluster(pts, Options{K: 6, Restarts: 3, Splits: 4, Seed: 9, Accelerate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seeds, same fixpoints on clean data: quality must agree
-	// closely even though iteration accounting differs.
-	if math.Abs(slow.PointMSE-fast.PointMSE) > 0.1*(1+slow.PointMSE) {
-		t.Fatalf("accelerated PointMSE %g vs naive %g", fast.PointMSE, slow.PointMSE)
-	}
-}
-
 func TestMSEOf(t *testing.T) {
 	pts := [][]float64{{0}, {2}}
 	mse, err := MSEOf(pts, [][]float64{{1}})

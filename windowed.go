@@ -46,9 +46,6 @@ type WindowedOptions struct {
 	// Epsilon and MaxIterations tune the inner k-means.
 	Epsilon       float64
 	MaxIterations int
-	// Accelerate selects Hamerly's Lloyd iteration for it (see
-	// Options.Accelerate): incremental sums and a fixpoint stop.
-	Accelerate bool
 	// Seed makes the stream reproducible.
 	Seed uint64
 	// MergeSolver selects the merge/maintenance kernel: "lloyd"
@@ -87,7 +84,6 @@ func (w *WindowedClusterer) coreConfig() core.WindowConfig {
 		Restarts:      w.opts.Restarts,
 		Epsilon:       w.opts.Epsilon,
 		MaxIterations: w.opts.MaxIterations,
-		Accelerate:    w.opts.Accelerate,
 		Seed:          w.opts.Seed,
 		MergeSolver:   w.opts.MergeSolver,
 		ResyncEvery:   w.opts.ResyncEvery,
