@@ -711,8 +711,8 @@ func run(cfg runConfig) (*engine.DegradedResult, error) {
 	if stats.Stalls > 0 {
 		fmt.Printf("stall watchdog cancelled %d wedged attempt(s)\n", stats.Stalls)
 	}
-	for _, op := range stats.Registry.All() {
-		fmt.Println(" ", op)
+	for _, line := range stats.Operators() {
+		fmt.Println(" ", line)
 	}
 	if len(workerAddrs) > 0 {
 		fmt.Printf("\n%-22s %8s %8s %8s %6s %12s %12s\n",
@@ -729,7 +729,7 @@ func run(cfg runConfig) (*engine.DegradedResult, error) {
 	}
 	if cfg.trace {
 		fmt.Println()
-		fmt.Print(stats.Trace.Timeline(72))
+		fmt.Print(stats.Obs.Timeline(72))
 	}
 	return stats.Degraded, nil
 }

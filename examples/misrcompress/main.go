@@ -99,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("\npipeline processed %d cells / %d chunks in %v\n",
 		stats.Cells, stats.Chunks, stats.Elapsed)
-	for _, op := range stats.Registry.All() {
-		fmt.Println(" ", op)
+	for _, line := range stats.Operators() {
+		fmt.Println(" ", line)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"streamkm/internal/core"
 	"streamkm/internal/dataset"
 	"streamkm/internal/grid"
+
+	"streamkm/internal/obs"
 )
 
 func engineCell(t testing.TB, n int, seed uint64) *dataset.Set {
@@ -135,8 +137,8 @@ func TestExecuteSingleCell(t *testing.T) {
 	if stats.Cells != 1 || stats.Chunks != 4 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if st := stats.Registry.Lookup("partial-kmeans"); st == nil || st.Processed() != 4 {
-		t.Fatalf("partial operator stats missing or wrong: %v", st)
+	if got := stageCounter(stats, obs.StreamItemsIn, "partial-kmeans"); got != 4 {
+		t.Fatalf("partial operator consumed %d items, want 4", got)
 	}
 }
 
@@ -260,9 +262,9 @@ func TestExecuteCompressStage(t *testing.T) {
 	if h.Total() != 500 {
 		t.Fatalf("histogram mass %g != 500", h.Total())
 	}
-	// the compress operator appears in the trace
+	// the compress operator appears in the spans
 	found := false
-	for _, s := range stats.Trace.Spans() {
+	for _, s := range stats.Obs.Spans() {
 		if s.Op == "compress" {
 			found = true
 		}

@@ -9,6 +9,10 @@ import (
 
 	"streamkm/internal/fault"
 	"streamkm/internal/stream"
+
+	"streamkm/internal/obs"
+
+	"reflect"
 )
 
 // This file is the bit-identical equivalence suite for the composable
@@ -46,7 +50,6 @@ func TestComposedMatchesLegacyExecutors(t *testing.T) {
 			WithRestarts(2),
 			WithJournal(NewJournal()),
 			WithReopt(fastReopt(4)),
-			WithTracer(nil), // nil tracer option must fall back to internal tracer
 		},
 	}
 	for name, opts := range cases {
@@ -91,7 +94,7 @@ func TestComposedSupervisedAdaptiveJournaledSurvivesFaults(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("injector never fired; test exercised nothing")
 	}
-	if op := stats.Registry.Lookup("partial-kmeans"); op == nil || op.Retries() == 0 {
+	if stageCounter(stats, obs.StreamRetries, "partial-kmeans") == 0 {
 		t.Fatal("no retries recorded despite injected faults")
 	}
 	if journal.Chunks() != stats.Chunks {
@@ -138,16 +141,17 @@ func TestComposedCrashDecodeResume(t *testing.T) {
 	}
 	assertSameResults(t, got, want)
 	if done := journal.Chunks(); done > 0 {
-		if op := stats.Registry.Lookup("partial-kmeans"); op != nil && op.Processed() > int64(stats.Chunks-done)+int64(op.Retries()) {
+		in := stageCounter(stats, obs.StreamItemsIn, "partial-kmeans")
+		if in > int64(stats.Chunks-done)+stageCounter(stats, obs.StreamRetries, "partial-kmeans") {
 			t.Fatalf("resumed run re-ran journaled chunks: processed %d of %d remaining",
-				op.Processed(), stats.Chunks-done)
+				in, stats.Chunks-done)
 		}
 	}
 }
 
 // TestRegistryAggregatesAcrossRestarts is the regression test for the
 // stats bug the unified core fixes: the legacy supervised executor
-// rebuilt the registry on every restart, so only the final attempt's
+// rebuilt its stats on every restart, so only the final attempt's
 // counters survived. Aggregated counters must show the crashed
 // attempt's work too: with one crash, at least one chunk is consumed
 // twice, so processed must exceed the plan's chunk count.
@@ -163,28 +167,24 @@ func TestRegistryAggregatesAcrossRestarts(t *testing.T) {
 	if stats.Restarts != 1 {
 		t.Fatalf("Restarts = %d, want 1", stats.Restarts)
 	}
-	op := stats.Registry.Lookup("partial-kmeans")
-	if op == nil {
-		t.Fatal("partial-kmeans missing from registry")
-	}
-	if op.Processed() <= int64(stats.Chunks) {
+	if in := stageCounter(stats, obs.StreamItemsIn, "partial-kmeans"); in <= int64(stats.Chunks) {
 		t.Fatalf("processed = %d across restarts, want > %d (last-attempt-only registry?)",
-			op.Processed(), stats.Chunks)
+			in, stats.Chunks)
 	}
 	// The scan operator restarted too; its aggregated emissions must
 	// likewise exceed a single clean pass.
-	if scan := stats.Registry.Lookup("scan"); scan == nil || scan.Emitted() <= int64(stats.Chunks) {
-		t.Fatalf("scan emissions not aggregated across restarts")
+	if out := stageCounter(stats, obs.StreamItemsOut, "scan"); out <= int64(stats.Chunks) {
+		t.Fatalf("scan emissions not aggregated across restarts: %d", out)
 	}
-	// Exactly one registry entry per operator, not one per attempt.
-	names := map[string]int{}
-	for _, s := range stats.Registry.All() {
-		names[s.Name()]++
-	}
-	for name, n := range names {
-		if n != 1 {
-			t.Fatalf("operator %q registered %d times", name, n)
+	// One stage label per operator, not one per attempt.
+	var stages []string
+	for _, c := range stats.Obs.Snapshot().Counters {
+		if c.Name == obs.StreamItemsIn {
+			stages = append(stages, c.Stage)
 		}
+	}
+	if want := []string{"merge-kmeans", "partial-kmeans", "scan"}; !reflect.DeepEqual(stages, want) {
+		t.Fatalf("stream_items_in stages = %v, want %v", stages, want)
 	}
 }
 
@@ -222,28 +222,6 @@ func TestCompressionOptionComposes(t *testing.T) {
 	for i := range off {
 		if off[i].Histogram != nil {
 			t.Fatalf("cell %d: a run without Compress attached a histogram", i)
-		}
-	}
-}
-
-// TestOnReoptEventMatchesStatsEvents pins the observer's contract: the
-// events WithOnReoptEvent sees live and ExecStats.ReoptEvents are the
-// same record.
-func TestOnReoptEventMatchesStatsEvents(t *testing.T) {
-	cells, q, plan := recoverCells(t)
-	plan.PartialClones = 1
-	var events []ReoptEvent
-	_, stats, err := NewExec(q, plan, WithReopt(fastReopt(3)),
-		WithOnReoptEvent(func(ev ReoptEvent) { events = append(events, ev) })).Execute(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(stats.ReoptEvents) {
-		t.Fatalf("observer saw %d events, stats hold %d", len(events), len(stats.ReoptEvents))
-	}
-	for i := range events {
-		if events[i] != stats.ReoptEvents[i] {
-			t.Fatalf("event %d differs between observer and stats", i)
 		}
 	}
 }

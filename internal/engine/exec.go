@@ -11,7 +11,6 @@ import (
 	"streamkm/internal/obs"
 	"streamkm/internal/rng"
 	"streamkm/internal/stream"
-	"streamkm/internal/trace"
 )
 
 // This file is the engine's single execution core. The paper's Conquest
@@ -23,10 +22,9 @@ import (
 //
 //	supervision     WithRetry / WithRestarts / WithOnRestart
 //	journaling      WithJournal (migration checkpoint in/out)
-//	re-optimization WithReopt (+ WithOnReoptEvent)
+//	re-optimization WithReopt
 //	fault injection WithFaultInjection
-//	tracing         WithTracer
-//	observability   WithObserver
+//	observability   WithObserver (metrics and operator spans)
 //	remote workers  WithRemoteWorkers
 //	governing       WithBudget
 //	degradation     WithDegradedResults
@@ -58,8 +56,6 @@ type Exec struct {
 	inject      *fault.Injector
 	onRestart   func(restart int, err error)
 	reopt       *ReoptPolicy
-	onReopt     func(ReoptEvent)
-	tracer      *trace.Tracer
 	supervised  bool
 	budget      govern.Budget
 	degraded    bool
@@ -132,18 +128,6 @@ func WithReopt(policy ReoptPolicy) ExecOption {
 	}
 }
 
-// WithOnReoptEvent observes each re-optimizer decision as it happens
-// (in addition to ExecStats.ReoptEvents).
-func WithOnReoptEvent(fn func(ReoptEvent)) ExecOption {
-	return func(e *Exec) { e.onReopt = fn }
-}
-
-// WithTracer records operator spans into tr instead of an internal
-// tracer, letting a caller aggregate spans across executions.
-func WithTracer(tr *trace.Tracer) ExecOption {
-	return func(e *Exec) { e.tracer = tr }
-}
-
 // WithBudget enforces the resource governor's envelope; zero fields
 // stay unenforced.
 //   - Deadline bounds the execution's wall-clock time. When it fires
@@ -176,13 +160,11 @@ func WithDegradedResults() ExecOption {
 	return func(e *Exec) { e.degraded = true }
 }
 
-// newExecStats assembles the execution summary — previously built
-// once per executor, now in exactly one place.
-func newExecStats(reg *stream.StatsRegistry, tr *trace.Tracer, ob *execObs, start time.Time, cells, chunks, restarts int, events []ReoptEvent) *ExecStats {
+// newExecStats assembles the execution summary in one place.
+func newExecStats(ob *execObs, start time.Time, cells, chunks, restarts int, events []ReoptEvent) *ExecStats {
 	return &ExecStats{
-		Registry:    reg,
-		Trace:       tr,
 		Obs:         ob.reg,
+		stages:      ob.stages,
 		Elapsed:     time.Since(start),
 		Cells:       cells,
 		Chunks:      chunks,
@@ -245,8 +227,10 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 		return nil, nil, err
 	}
 
-	// One metrics registry per execution (the caller's under
-	// WithObserver, so live counters are watchable while the plan runs).
+	// One telemetry registry per execution (the caller's under
+	// WithObserver, so live counters are watchable while the plan runs):
+	// every stage, the engine's own instruments and the operator spans
+	// record into it, and restart attempts accumulate there.
 	obsReg := e.obsReg
 	if obsReg == nil {
 		obsReg = obs.NewRegistry()
@@ -258,10 +242,6 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 		ob.admissionRefit.Inc()
 	}
 
-	tr := e.tracer
-	if tr == nil {
-		tr = trace.New(0)
-	}
 	journal := e.journal
 	retain := journal != nil
 	if journal == nil {
@@ -275,14 +255,9 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 		strategy: q.Strategy, chunkPoints: plan.ChunkPoints}); err != nil {
 		return nil, nil, err
 	}
-	merger := newCellMerger(cells, q, mergeRNGs, tr, journal, retain, ob)
+	merger := newCellMerger(cells, q, mergeRNGs, journal, retain, ob)
 
-	// One registry for the whole execution: operator counters
-	// (processed/retries/quarantined/...) aggregate across restart
-	// attempts instead of reporting only the last attempt's pipeline.
-	reg := stream.NewStatsRegistry()
-
-	work := partialTransform(cells, summ, stagePartial, tr, ob, e.remote, journal)
+	work := partialTransform(cells, summ, stagePartial, ob, e.remote, journal)
 	if e.inject != nil {
 		base, inj := work, e.inject
 		work = func(ctx context.Context, t chunkTask, emit stream.Emit[partialOut]) error {
@@ -351,18 +326,16 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 		chunkQ := stream.NewQueue[chunkTask](queueChunks, plan.QueueCapacity)
 		partQ := stream.NewQueue[partialOut](queuePartials, plan.QueueCapacity)
 
-		stream.RunSource(g, gctx, reg, opScan, taskSource(remaining), chunkQ)
-		pcfg := stream.StageConfig[chunkTask]{Name: stagePartial, Clones: plan.PartialClones, Sup: sup,
-			Observe: ob.partialSeconds.ObserveDuration}
-		mcfg := stream.StageConfig[partialOut]{Name: stageMerge, Clones: 1,
-			Observe: ob.mergeSeconds.ObserveDuration}
+		stream.RunSource(g, gctx, obsReg, opScan, taskSource(remaining), chunkQ)
+		pcfg := stream.StageConfig[chunkTask]{Name: stagePartial, Clones: plan.PartialClones, Sup: sup}
+		mcfg := stream.StageConfig[partialOut]{Name: stageMerge, Clones: 1}
 		if hbPartial != nil {
 			// Assign only when armed: a typed-nil *Heartbeat in the
 			// interface field would read as "hook present".
 			pcfg.Beat, mcfg.Beat = hbPartial, hbMerge
 		}
-		st := stream.RunStage(g, gctx, reg, pcfg, work, chunkQ, partQ)
-		stream.RunStage(g, gctx, reg, mcfg,
+		st := stream.RunStage(g, gctx, obsReg, pcfg, work, chunkQ, partQ)
+		stream.RunStage(g, gctx, obsReg, mcfg,
 			func(ctx context.Context, p partialOut, _ stream.Emit[struct{}]) error {
 				return merger.sink(ctx, p)
 			}, partQ, (*stream.Queue[struct{}])(nil))
@@ -457,7 +430,7 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 			ob.degradedChunks.Add(int64(len(report.DroppedChunks)))
 			ob.degradedPoints.Add(int64(report.PointsLost))
 		}
-		stats := newExecStats(reg, tr, ob, start, len(cells), len(tasks), restarts, events)
+		stats := newExecStats(ob, start, len(cells), len(tasks), restarts, events)
 		stats.Admission, stats.Stalls, stats.Degraded = admission, stalls, report
 		stats.Leases = journal.Leases()
 		return results, stats, nil
@@ -466,7 +439,7 @@ func (e *Exec) Execute(ctx context.Context, cells []Cell) ([]CellResult, *ExecSt
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := newExecStats(reg, tr, ob, start, len(cells), len(tasks), restarts, events)
+	stats := newExecStats(ob, start, len(cells), len(tasks), restarts, events)
 	stats.Admission, stats.Stalls = admission, stalls
 	stats.Leases = journal.Leases()
 	return results, stats, nil

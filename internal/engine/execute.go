@@ -14,10 +14,9 @@ import (
 	"streamkm/internal/obs"
 	"streamkm/internal/rng"
 	"streamkm/internal/stream"
-	"streamkm/internal/trace"
 )
 
-// Stage names: pipeline operators, trace timeline lanes, and obs metric
+// Stage names: pipeline operators, span timeline lanes, and obs metric
 // stage labels all use the same vocabulary, so a lane in the timeline
 // cross-references a stage label in the JSON run report. The partial
 // stage is named after the summarizer operator actually running in it
@@ -65,10 +64,6 @@ type CellResult struct {
 
 // ExecStats summarizes a plan execution.
 type ExecStats struct {
-	// Registry exposes per-operator counters.
-	Registry *stream.StatsRegistry
-	// Trace records operator spans; render with Trace.Timeline.
-	Trace *trace.Tracer
 	// Elapsed is the end-to-end wall-clock time.
 	Elapsed time.Duration
 	// Cells and Chunks count the processed units.
@@ -92,10 +87,15 @@ type ExecStats struct {
 	// record per (chunk, worker) lease, in (cell, chunk, attempt) order.
 	// Empty for local executions.
 	Leases []LeaseRecord
-	// Obs is the unified metrics registry the execution recorded into
-	// (the caller's, under WithObserver, else an internal one). Render
-	// it with Report.
+	// Obs is the telemetry registry the execution recorded into (the
+	// caller's, under WithObserver, else an internal one): every
+	// stage's metrics and the operator spans. Render it with Report,
+	// Operators, or Obs.Timeline.
 	Obs *obs.Registry
+
+	// stages names the pipeline's stages in order (scan, partial,
+	// merge) for Operators.
+	stages []string
 }
 
 // chunkTask is one partition of one cell queued for the partial operator.
@@ -157,14 +157,14 @@ func validateExecArgs(cells []Cell, q Query, plan PhysicalPlan) error {
 	return nil
 }
 
-func partialTransform(cells []Cell, summ core.Summarizer, stage string, tr *trace.Tracer, ob *execObs, remote RemotePartial, journal *Journal) stream.TransformFunc[chunkTask, partialOut] {
+func partialTransform(cells []Cell, summ core.Summarizer, stage string, ob *execObs, remote RemotePartial, journal *Journal) stream.TransformFunc[chunkTask, partialOut] {
 	spec := summ.Spec()
 	return func(ctx context.Context, t chunkTask, emit stream.Emit[partialOut]) error {
 		key := cells[t.cellIdx].Key
-		end := tr.SpanL(stage, fmt.Sprintf("%v/%d", key, t.chunkIdx),
-			trace.Label{Key: "stage", Value: stage},
-			trace.Label{Key: "cell", Value: fmt.Sprintf("%v", key)},
-			trace.Label{Key: "chunk", Value: fmt.Sprintf("%d", t.chunkIdx)})
+		end := ob.reg.Span(stage, fmt.Sprintf("%v/%d", key, t.chunkIdx),
+			obs.Label{Key: "stage", Value: stage},
+			obs.Label{Key: "cell", Value: fmt.Sprintf("%v", key)},
+			obs.Label{Key: "chunk", Value: fmt.Sprintf("%d", t.chunkIdx)})
 		// Every invocation is one attempt (retries of a supervised chunk
 		// re-enter here); chunk-level metrics update at this granularity
 		// so the Lloyd loop itself carries no instrumentation.

@@ -14,6 +14,8 @@ import (
 	"streamkm/internal/grid"
 	"streamkm/internal/metrics"
 	"streamkm/internal/rng"
+
+	"streamkm/internal/obs"
 )
 
 // governCells builds a two-cell workload whose chunking is exactly
@@ -129,7 +131,7 @@ func TestDegradedDropsFailedPartition(t *testing.T) {
 			t.Fatalf("intact cell %v reports %d lost chunks", r.Key, r.LostChunks)
 		}
 	}
-	if op := stats.Registry.Lookup("partial-kmeans"); op == nil || op.Quarantined() != 1 {
+	if stageCounter(stats, obs.StreamQuarantined, "partial-kmeans") != 1 {
 		t.Fatal("failed chunk was not quarantined")
 	}
 
@@ -346,8 +348,8 @@ func TestMemoryBudgetShrinksPlan(t *testing.T) {
 		t.Fatalf("governed run produced %d chunks, plain %d; smaller chunks should mean more of them",
 			stats.Chunks, plain.Chunks)
 	}
-	if op := stats.Registry.Lookup("partial-kmeans"); op == nil || op.Clones() != adm.Clones {
-		t.Fatalf("partial stage ran %v clones, admission said %d", op, adm.Clones)
+	if clones, _ := stats.Obs.Snapshot().Gauge(obs.StreamClones, "partial-kmeans"); int(clones) != adm.Clones {
+		t.Fatalf("partial stage ran %v clones, admission said %d", clones, adm.Clones)
 	}
 
 	got2, _ := run()

@@ -10,8 +10,8 @@ import (
 	"streamkm/internal/dataset"
 	"streamkm/internal/histogram"
 	"streamkm/internal/metrics"
+	"streamkm/internal/obs"
 	"streamkm/internal/rng"
-	"streamkm/internal/trace"
 )
 
 // cellMerger is the one merge stage shared by every executor
@@ -25,7 +25,6 @@ type cellMerger struct {
 	cells     []Cell
 	q         Query
 	mergeRNGs []*rng.RNG
-	tr        *trace.Tracer
 	journal   *Journal
 	// retain keeps merged cells' chunks in the journal. It is set when
 	// the journal outlives the execution (a caller-provided migration
@@ -33,7 +32,7 @@ type cellMerger struct {
 	retain bool
 	ob     *execObs
 	// stage is the solver-derived merge stage label (Query.mergeStage),
-	// shared with traces, metrics, and the watchdog.
+	// shared with spans, metrics, and the watchdog.
 	stage string
 
 	mu        sync.Mutex
@@ -41,12 +40,11 @@ type cellMerger struct {
 	completed []bool
 }
 
-func newCellMerger(cells []Cell, q Query, mergeRNGs []*rng.RNG, tr *trace.Tracer, journal *Journal, retain bool, ob *execObs) *cellMerger {
+func newCellMerger(cells []Cell, q Query, mergeRNGs []*rng.RNG, journal *Journal, retain bool, ob *execObs) *cellMerger {
 	return &cellMerger{
 		cells:     cells,
 		q:         q,
 		mergeRNGs: mergeRNGs,
-		tr:        tr,
 		journal:   journal,
 		retain:    retain,
 		ob:        ob,
@@ -129,9 +127,9 @@ func (m *cellMerger) mergePartial(ci, total int) (missing []int, err error) {
 // partitions.
 func (m *cellMerger) finishCell(ci int, parts []*dataset.WeightedSet, partialTime time.Duration, lost int) error {
 	key := m.cells[ci].Key
-	endSpan := m.tr.SpanL(m.stage, fmt.Sprintf("%v", key),
-		trace.Label{Key: "stage", Value: m.stage},
-		trace.Label{Key: "cell", Value: fmt.Sprintf("%v", key)})
+	endSpan := m.ob.reg.Span(m.stage, fmt.Sprintf("%v", key),
+		obs.Label{Key: "stage", Value: m.stage},
+		obs.Label{Key: "cell", Value: fmt.Sprintf("%v", key)})
 	mergeRNG := *m.mergeRNGs[ci]
 	mr, err := core.MergeKMeans(parts, m.q.mergeConfig(), &mergeRNG)
 	endSpan()
@@ -146,7 +144,7 @@ func (m *cellMerger) finishCell(ci int, parts []*dataset.WeightedSet, partialTim
 	}
 	var hist *histogram.Histogram
 	if m.q.Compress {
-		endSpan := m.tr.Span("compress", fmt.Sprintf("%v", key))
+		endSpan := m.ob.reg.Span("compress", fmt.Sprintf("%v", key))
 		hist, err = histogram.Build(m.cells[ci].Points, mr.Centroids)
 		endSpan()
 		if err != nil {

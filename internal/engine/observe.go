@@ -1,28 +1,31 @@
 package engine
 
 import (
+	"fmt"
+	"time"
+
 	"streamkm/internal/obs"
 	"streamkm/internal/stream"
 )
 
-// This file wires the engine into the obs metrics core. The paper's
-// Conquest engine adapts long-running queries from runtime resource
-// evidence (§4); PRs 1–4 grew that evidence organically — OpStats
-// counters, queue high-water marks, governor heartbeats, degraded-run
-// audits — each visible only through its own struct. Here every signal
-// lands in one obs.Registry under a fixed vocabulary (obs/names.go), so
-// ExecStats.Report() can render a single schema-stable JSON document
-// per run.
+// This file wires the engine into obs, its one telemetry sink. The
+// paper's Conquest engine adapts long-running queries from runtime
+// resource evidence (§4); here every signal — the stream stages'
+// stream_* families and stage_seconds, queue totals, chunk and cell
+// counters, governor decisions, degraded-run audits, and one span per
+// partial step and per cell merge — lands in one obs.Registry under a
+// fixed vocabulary (obs/names.go), so ExecStats.Report() renders a
+// single schema-stable JSON document per run.
 //
 // Granularity contract: counters and gauges are atomic and may be
-// bumped anywhere; histograms are observed once per chunk or per merge,
-// never per point, so the Lloyd hot loop stays allocation-free and
-// instrumentation-free.
+// bumped anywhere; histograms and spans are recorded once per chunk or
+// per merge, never per point, so the Lloyd hot loop stays
+// allocation-free and instrumentation-free.
 
-// WithObserver records the execution's metrics into reg instead of an
-// internal registry, letting a caller watch counters live (pmkm's
-// -progress ticker) or aggregate across executions. The registry is
-// also reachable afterwards through ExecStats.Obs.
+// WithObserver records the execution's metrics and spans into reg
+// instead of an internal registry, letting a caller watch counters live
+// (pmkm's -progress ticker) or aggregate across executions. The
+// registry is also reachable afterwards through ExecStats.Obs.
 func WithObserver(reg *obs.Registry) ExecOption {
 	return func(e *Exec) { e.obsReg = reg }
 }
@@ -31,6 +34,8 @@ func WithObserver(reg *obs.Registry) ExecOption {
 // atomics, not the registry's map lock.
 type execObs struct {
 	reg *obs.Registry
+	// stages names the pipeline's stages in order.
+	stages []string
 
 	chunksTotal    *obs.Counter
 	chunksDone     *obs.Counter
@@ -46,9 +51,7 @@ type execObs struct {
 	degradedChunks *obs.Counter
 	degradedPoints *obs.Counter
 
-	partialSeconds *obs.Histogram
-	mergeSeconds   *obs.Histogram
-	chunkPoints    *obs.Histogram
+	chunkPoints *obs.Histogram
 
 	kmIterPartial *obs.Counter
 	kmRestarts    *obs.Counter
@@ -66,8 +69,15 @@ type execObs struct {
 // partial-coreset or merge-minibatch run from the defaults at a
 // glance.
 func newExecObs(reg *obs.Registry, stagePartial, stageMerge string) *execObs {
+	// The stages observe their own stage_seconds; registering both here
+	// keeps the keys in the report of a run whose journal already held
+	// every chunk, so no stage ran.
+	for _, stage := range []string{stagePartial, stageMerge} {
+		reg.Histogram(obs.StageSeconds, stage, obs.LatencyBuckets())
+	}
 	return &execObs{
 		reg:            reg,
+		stages:         []string{opScan, stagePartial, stageMerge},
 		chunksTotal:    reg.Counter(obs.EngineChunksTotal, ""),
 		chunksDone:     reg.Counter(obs.EngineChunksDone, ""),
 		chunkAttempts:  reg.Counter(obs.EngineChunkAttempts, ""),
@@ -82,9 +92,7 @@ func newExecObs(reg *obs.Registry, stagePartial, stageMerge string) *execObs {
 		degradedChunks: reg.Counter(obs.EngineDegradedChunks, ""),
 		degradedPoints: reg.Counter(obs.EngineDegradedPoints, ""),
 
-		partialSeconds: reg.Histogram(obs.StageSeconds, stagePartial, obs.LatencyBuckets()),
-		mergeSeconds:   reg.Histogram(obs.StageSeconds, stageMerge, obs.LatencyBuckets()),
-		chunkPoints:    reg.Histogram(obs.ChunkPoints, stagePartial, obs.SizeBuckets()),
+		chunkPoints: reg.Histogram(obs.ChunkPoints, stagePartial, obs.SizeBuckets()),
 
 		kmIterPartial: reg.Counter(obs.KMeansIterations, stagePartial),
 		kmRestarts:    reg.Counter(obs.KMeansRestarts, stagePartial),
@@ -97,7 +105,8 @@ func newExecObs(reg *obs.Registry, stagePartial, stageMerge string) *execObs {
 
 // absorbQueues folds one attempt's queue counters into the registry.
 // Queues are rebuilt per attempt, so totals Add and high-water marks
-// SetMax — the registry accumulates across restarts just like OpStats.
+// SetMax — the registry accumulates across restarts like the stages'
+// own families.
 func (o *execObs) absorbQueues(qs ...queueCounters) {
 	for _, q := range qs {
 		o.reg.Gauge(obs.QueueHighWater, q.name).SetMax(int64(q.highWater))
@@ -123,36 +132,10 @@ func summarizeQueue[T any](q *stream.Queue[T]) queueCounters {
 	}
 }
 
-// streamSnapshots synthesizes the stream_* metric families from the
-// operator stats registry. They are synthesized at snapshot time rather
-// than double-counted into live counters: OpStats already aggregates
-// across clones and restart attempts, so its values are authoritative.
-func streamSnapshots(reg *stream.StatsRegistry, snap *obs.Snapshot) {
-	if reg == nil {
-		return
-	}
-	for _, op := range reg.All() {
-		stage := op.Name()
-		snap.Counters = append(snap.Counters,
-			obs.CounterSnapshot{Name: obs.StreamItemsIn, Stage: stage, Value: op.Processed()},
-			obs.CounterSnapshot{Name: obs.StreamItemsOut, Stage: stage, Value: op.Emitted()},
-			obs.CounterSnapshot{Name: obs.StreamRetries, Stage: stage, Value: op.Retries()},
-			obs.CounterSnapshot{Name: obs.StreamQuarantined, Stage: stage, Value: op.Quarantined()},
-			obs.CounterSnapshot{Name: obs.StreamDropped, Stage: stage, Value: op.Dropped()},
-			obs.CounterSnapshot{Name: obs.StreamPanics, Stage: stage, Value: op.Panics()},
-		)
-		snap.Gauges = append(snap.Gauges,
-			obs.GaugeSnapshot{Name: obs.StreamClones, Stage: stage, Value: float64(op.Clones())},
-			obs.GaugeSnapshot{Name: obs.StreamBusySeconds, Stage: stage, Value: op.Busy().Seconds()},
-		)
-	}
-}
-
 // Report renders the execution as the schema-stable JSON run report:
 // run-level facts, the governor's admission and degradation record, the
-// unified metrics snapshot (engine instruments plus the absorbed
-// stream_* families), and the trace cross-reference, whose op names
-// equal the metric stage labels.
+// registry's metrics snapshot, and its span summary (the trace
+// section), whose op names equal the metric stage labels.
 func (s *ExecStats) Report() *obs.Report {
 	rep := &obs.Report{
 		Schema:         obs.ReportSchema,
@@ -181,18 +164,37 @@ func (s *ExecStats) Report() *obs.Report {
 			Stalls:           d.Stalls,
 		}
 	}
-	var snap obs.Snapshot
-	if s.Obs != nil {
-		snap = s.Obs.Snapshot()
-	}
-	streamSnapshots(s.Registry, &snap)
-	snap.Sort()
-	rep.Metrics = snap
-	if s.Trace != nil {
-		for _, o := range s.Trace.Summary() {
-			rep.Trace = append(rep.Trace, obs.TraceOp{Op: o.Op, Spans: o.Spans, BusySeconds: o.Busy.Seconds()})
-		}
-		rep.DroppedSpans = s.Trace.Dropped()
-	}
+	rep.Metrics = s.Obs.Snapshot()
+	rep.Trace = s.Obs.TraceSummary()
+	rep.DroppedSpans = s.Obs.DroppedSpans()
 	return rep
+}
+
+// Operators renders one summary line per pipeline stage that ran, in
+// pipeline order, from its stream_* families:
+//
+//	partial-kmeans[x2]: in=7 out=7 busy=41.2ms
+//
+// followed by " retries=… quarantined=… dropped=… panics=…" when any of
+// those is nonzero.
+func (s *ExecStats) Operators() []string {
+	snap := s.Obs.Snapshot()
+	var lines []string
+	for _, stage := range s.stages {
+		clones, ran := snap.Gauge(obs.StreamClones, stage)
+		if !ran {
+			continue
+		}
+		busy, _ := snap.Gauge(obs.StreamBusySeconds, stage)
+		line := fmt.Sprintf("%s[x%d]: in=%d out=%d busy=%v", stage, int(clones),
+			snap.Counter(obs.StreamItemsIn, stage), snap.Counter(obs.StreamItemsOut, stage),
+			time.Duration(busy*float64(time.Second)))
+		r, q := snap.Counter(obs.StreamRetries, stage), snap.Counter(obs.StreamQuarantined, stage)
+		d, p := snap.Counter(obs.StreamDropped, stage), snap.Counter(obs.StreamPanics, stage)
+		if r > 0 || q > 0 || d > 0 || p > 0 {
+			line += fmt.Sprintf(" retries=%d quarantined=%d dropped=%d panics=%d", r, q, d, p)
+		}
+		lines = append(lines, line)
+	}
+	return lines
 }

@@ -9,6 +9,12 @@ import (
 	"streamkm/internal/fault"
 	"streamkm/internal/obs"
 	"streamkm/internal/stream"
+
+	"reflect"
+
+	"regexp"
+
+	"strings"
 )
 
 // Tests for the engine's obs wiring: one supervised faulty run must
@@ -118,6 +124,56 @@ func TestExecReportUnderFaults(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("two reports of one execution differ")
+	}
+}
+
+// stageCounter reads one stage's stream_* counter from the run's
+// registry.
+func stageCounter(stats *ExecStats, name, stage string) int64 {
+	return stats.Obs.Snapshot().Counter(name, stage)
+}
+
+// TestOperatorsLines pins the per-operator summary lines pmkm and
+// examples/misrcompress print, for a plain, a supervised and a degraded
+// run; busy time is wall-clock and checked only for its shape.
+func TestOperatorsLines(t *testing.T) {
+	cells, q, plan := governCells(t)
+	busy := regexp.MustCompile(`busy=([0-9.]+(ns|µs|ms|s|m)|0s)( |$)`)
+	for _, c := range []struct {
+		name string
+		opts []ExecOption
+		want []string
+	}{
+		{"plain", nil, []string{
+			"scan[x1]: in=0 out=7 busy=*",
+			"partial-kmeans[x1]: in=7 out=7 busy=*",
+			"merge-kmeans[x1]: in=7 out=0 busy=*",
+		}},
+		{"supervised", []ExecOption{
+			WithRetry(stream.RetryPolicy{MaxRetries: 1, BaseBackoff: -1}),
+			WithFaultInjection(fault.New(fault.Config{ErrorNth: 3, PanicNth: 6})),
+		}, []string{
+			"scan[x1]: in=0 out=7 busy=*",
+			"partial-kmeans[x1]: in=7 out=7 busy=* retries=2 quarantined=0 dropped=0 panics=1",
+			"merge-kmeans[x1]: in=7 out=0 busy=*",
+		}},
+		{"degraded", []ExecOption{WithFaultInjection(fault.ErrorNth(3)), WithDegradedResults()}, []string{
+			"scan[x1]: in=0 out=7 busy=*",
+			"partial-kmeans[x1]: in=7 out=6 busy=* retries=0 quarantined=1 dropped=0 panics=0",
+			"merge-kmeans[x1]: in=6 out=0 busy=*",
+		}},
+	} {
+		_, stats, err := NewExec(q, plan, c.opts...).Execute(context.Background(), cells)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got []string
+		for _, line := range stats.Operators() {
+			got = append(got, busy.ReplaceAllString(line, "busy=*$3"))
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: lines\n%s\nwant\n%s", c.name, strings.Join(stats.Operators(), "\n"), strings.Join(c.want, "\n"))
+		}
 	}
 }
 

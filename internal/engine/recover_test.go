@@ -10,6 +10,8 @@ import (
 	"streamkm/internal/fault"
 	"streamkm/internal/grid"
 	"streamkm/internal/stream"
+
+	"streamkm/internal/obs"
 )
 
 func recoverCells(t *testing.T) ([]Cell, Query, PhysicalPlan) {
@@ -88,7 +90,7 @@ func TestSupervisedRetriesInjectedFaults(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("injector never fired; test exercised nothing")
 	}
-	if op := stats.Registry.Lookup("partial-kmeans"); op == nil || op.Retries() == 0 {
+	if stageCounter(stats, obs.StreamRetries, "partial-kmeans") == 0 {
 		t.Fatal("no retries recorded despite injected faults")
 	}
 }
@@ -199,10 +201,8 @@ func TestJournalCheckpointRoundTripMidStream(t *testing.T) {
 	}
 	assertSameResults(t, got, want)
 	// The resumed run must not have re-run journaled chunks.
-	if op := stats.Registry.Lookup("partial-kmeans"); op != nil {
-		if op.Processed() != int64(stats.Chunks-done) {
-			t.Fatalf("resumed run processed %d chunks, want %d", op.Processed(), stats.Chunks-done)
-		}
+	if got := stageCounter(stats, obs.StreamItemsIn, "partial-kmeans"); got != int64(stats.Chunks-done) {
+		t.Fatalf("resumed run processed %d chunks, want %d", got, stats.Chunks-done)
 	}
 }
 

@@ -93,15 +93,11 @@ func (e *Exec) runReoptMonitor(g *stream.Group, gctx context.Context, st *stream
 				if st.AddClone() {
 					// Only this goroutine appends, and the executor reads
 					// events after g.Wait returns, so no lock is needed.
-					ev := ReoptEvent{
+					*events = append(*events, ReoptEvent{
 						At:      time.Since(start),
 						Clones:  st.Clones(),
 						Backlog: depth,
-					}
-					*events = append(*events, ev)
-					if e.onReopt != nil {
-						e.onReopt(ev)
-					}
+					})
 				}
 				congested = 0
 			}

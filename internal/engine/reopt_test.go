@@ -8,6 +8,8 @@ import (
 
 	"streamkm/internal/grid"
 	"streamkm/internal/stream"
+
+	"streamkm/internal/obs"
 )
 
 func TestReoptMatchesExecute(t *testing.T) {
@@ -72,9 +74,8 @@ func TestReoptScalesUpUnderBacklog(t *testing.T) {
 	if last.String() == "" {
 		t.Fatal("event should format")
 	}
-	op := stats.Registry.Lookup("partial-kmeans")
-	if op == nil || op.Clones() != last.Clones {
-		t.Fatalf("registry clones %v != event %d", op, last.Clones)
+	if clones, _ := stats.Obs.Snapshot().Gauge(obs.StreamClones, "partial-kmeans"); int(clones) != last.Clones {
+		t.Fatalf("registry clones %v != event %d", clones, last.Clones)
 	}
 }
 

@@ -16,10 +16,7 @@ func TestExecuteRecordsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Trace == nil {
-		t.Fatal("no tracer attached")
-	}
-	spans := stats.Trace.Spans()
+	spans := stats.Obs.Spans()
 	var partials, merges int
 	for _, s := range spans {
 		switch s.Op {
@@ -40,7 +37,7 @@ func TestExecuteRecordsSpans(t *testing.T) {
 	if partials != 3 || merges != 1 {
 		t.Fatalf("spans: %d partial, %d merge (want 3, 1)", partials, merges)
 	}
-	out := stats.Trace.Timeline(40)
+	out := stats.Obs.Timeline(40)
 	if !strings.Contains(out, "partial-kmeans") || !strings.Contains(out, "merge-kmeans") {
 		t.Fatalf("timeline missing lanes:\n%s", out)
 	}

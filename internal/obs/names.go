@@ -6,13 +6,13 @@ package obs
 //
 // Stage labels: stream_* and stage_* families are labeled with the
 // operator name ("scan", "partial-kmeans", "merge-kmeans" — the same
-// names the trace timeline uses); kmeans_* families are labeled with
+// names the span timeline uses); kmeans_* families are labeled with
 // the phase that ran Lloyd ("partial-kmeans", "merge-kmeans");
 // queue_* families are labeled with the queue name ("chunks",
 // "partials"); engine_* and govern_* families are run-global (no
 // label).
 const (
-	// Stream-stage families, absorbed from stream.OpStats.
+	// Stream-stage families, recorded by stream sources and stages.
 	StreamItemsIn     = "stream_items_in"     // items consumed by the stage
 	StreamItemsOut    = "stream_items_out"    // items emitted downstream
 	StreamRetries     = "stream_retries"      // supervised re-attempts
@@ -20,7 +20,7 @@ const (
 	StreamDropped     = "stream_dropped"      // poison items lost to DLQ overflow
 	StreamPanics      = "stream_panics"       // operator panics recovered by supervision
 	StreamClones      = "stream_clones"       // gauge: peak replica count
-	StreamBusySeconds = "stream_busy_seconds" // gauge: cumulative in-operator time
+	StreamBusySeconds = "stream_busy_seconds" // float gauge: cumulative in-operator time
 
 	// Queue families, absorbed from stream.Queue counters.
 	QueueHighWater = "queue_highwater" // gauge: deepest observed backlog

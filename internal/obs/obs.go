@@ -1,19 +1,19 @@
-// Package obs is the engine's unified observability core. The paper's
-// Conquest engine chooses operator cloning and chunk sizes from runtime
-// resource evidence (§4); the reproduction's re-optimizer, governor,
-// and watchdog all act on such evidence too, but until this package it
-// was scattered across OpStats fields, queue high-water marks, and
-// heartbeat counters — partially exported and invisible to facade and
-// CLI users. obs absorbs those signals into one concurrency-safe
-// metrics registry (counters, gauges, fixed-bucket histograms, all
-// labeled by stage) and renders one stable JSON document per run, so a
-// user can ask the system where time and memory went per stage.
+// Package obs is the engine's one telemetry sink. The paper's Conquest
+// engine chooses operator cloning and chunk sizes from runtime resource
+// evidence (§4); the reproduction's re-optimizer, governor, and watchdog
+// act on such evidence too. Every producer records into one
+// concurrency-safe Registry: counters, gauges and fixed-bucket
+// histograms labeled by stage (stream sources and stages, the engine,
+// the distributed pool, the daemon), plus a bounded log of operator
+// spans. One Registry renders one stable JSON run report, so a user can
+// ask the system where time and memory went per stage, and the same
+// spans draw the text timeline.
 //
 // Hot-path discipline: counters and gauges are single atomics, safe to
-// bump from inside operators; histograms take a mutex and must only be
-// updated at chunk granularity (once per item a stage processes), never
-// per point — the Lloyd loop itself stays allocation-free and
-// instrumentation-free.
+// bump from inside operators; histograms and spans take a mutex and
+// must only be updated at chunk granularity (once per item a stage
+// processes), never per point — the Lloyd loop itself stays
+// allocation-free and instrumentation-free.
 package obs
 
 import (
@@ -71,6 +71,17 @@ type FloatGauge struct {
 
 // Set stores v.
 func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Add adds delta (the busy-time idiom: per-item durations in seconds
+// summed across clones).
+func (g *FloatGauge) Add(delta float64) {
+	for {
+		cur := g.bits.Load()
+		if g.bits.CompareAndSwap(cur, math.Float64bits(math.Float64frombits(cur)+delta)) {
+			return
+		}
+	}
+}
 
 // Value returns the current value (0 until first Set).
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -178,25 +189,31 @@ type metricKey struct {
 	stage string
 }
 
-// Registry holds a run's metric families. Metric accessors get-or-create
-// under a lock and return the live instrument; instruments themselves
-// are lock-free (counters, gauges) or chunk-granular (histograms), so
-// stages cache the instrument once and update it on the hot path.
+// Registry holds a run's metric families and its span log (span.go).
+// Metric accessors get-or-create under a lock and return the live
+// instrument; instruments themselves are lock-free (counters, gauges)
+// or chunk-granular (histograms), so stages cache the instrument once
+// and update it on the hot path. Get-or-create also makes a restarted
+// pipeline's stages accumulate into the instruments of the attempt
+// before.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[metricKey]*Counter
 	gauges   map[metricKey]*Gauge
 	fgauges  map[metricKey]*FloatGauge
 	hists    map[metricKey]*Histogram
+
+	spans spanLog
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns an empty registry; span offsets count from now.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[metricKey]*Counter{},
 		gauges:   map[metricKey]*Gauge{},
 		fgauges:  map[metricKey]*FloatGauge{},
 		hists:    map[metricKey]*Histogram{},
+		spans:    spanLog{epoch: time.Now(), cap: maxSpans},
 	}
 }
 

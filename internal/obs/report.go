@@ -125,8 +125,8 @@ type Snapshot struct {
 }
 
 // Sort orders every section by (name, stage). Registry.Snapshot returns
-// sorted documents already; callers that append synthesized entries
-// (the engine absorbing stream stats) re-sort before marshaling.
+// sorted documents already; callers that append entries re-sort before
+// marshaling.
 func (s *Snapshot) Sort() {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].less(s.Counters[j]) })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].less(s.Gauges[j]) })
@@ -141,6 +141,17 @@ func (s Snapshot) Counter(name, stage string) int64 {
 		}
 	}
 	return 0
+}
+
+// Gauge returns the snapshotted value of (name, stage) and whether the
+// gauge exists.
+func (s Snapshot) Gauge(name, stage string) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && g.Stage == stage {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }
 
 // Histogram returns the snapshotted histogram for (name, stage), or nil.
@@ -174,8 +185,8 @@ type DegradedReport struct {
 	Stalls           int  `json:"stalls"`
 }
 
-// TraceOp is one operator's span aggregate, cross-referencing the trace
-// timeline: Op matches both the timeline lane and the stage label of
+// TraceOp is one operator's span aggregate (Registry.TraceSummary),
+// cross-referencing the span timeline: Op matches both the timeline lane and the stage label of
 // the metric families in Metrics.
 type TraceOp struct {
 	Op          string  `json:"op"`

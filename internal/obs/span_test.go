@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"strings"
@@ -7,8 +7,20 @@ import (
 	"time"
 )
 
+// Tests for the registry's span log: recording, the capacity bound and
+// its drop count, the per-op summary behind the report's trace section,
+// and the text timeline.
+
+// spanRegistry returns a registry whose span log holds at most
+// capacity spans.
+func spanRegistry(capacity int) *Registry {
+	r := NewRegistry()
+	r.spans.cap = capacity
+	return r
+}
+
 func TestSpanRecording(t *testing.T) {
-	tr := New(10)
+	tr := spanRegistry(10)
 	end := tr.Span("op-a", "item-1")
 	time.Sleep(2 * time.Millisecond)
 	end()
@@ -29,20 +41,20 @@ func TestSpanRecording(t *testing.T) {
 }
 
 func TestCapacityBound(t *testing.T) {
-	tr := New(3)
+	tr := spanRegistry(3)
 	for i := 0; i < 10; i++ {
 		tr.Span("op", "x")()
 	}
 	if len(tr.Spans()) != 3 {
 		t.Fatalf("kept %d spans, cap 3", len(tr.Spans()))
 	}
-	if tr.Dropped() != 7 {
-		t.Fatalf("Dropped = %d", tr.Dropped())
+	if tr.DroppedSpans() != 7 {
+		t.Fatalf("Dropped = %d", tr.DroppedSpans())
 	}
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(1000)
+	tr := spanRegistry(1000)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -54,13 +66,13 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(tr.Spans()) + tr.Dropped(); got != 800 {
+	if got := len(tr.Spans()) + tr.DroppedSpans(); got != 800 {
 		t.Fatalf("spans+dropped = %d, want 800", got)
 	}
 }
 
 func TestSpansSortedByStart(t *testing.T) {
-	tr := New(100)
+	tr := spanRegistry(100)
 	for i := 0; i < 20; i++ {
 		tr.Span("op", "x")()
 	}
@@ -73,7 +85,7 @@ func TestSpansSortedByStart(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	tr := New(100)
+	tr := spanRegistry(100)
 	endA := tr.Span("partial", "c0")
 	time.Sleep(time.Millisecond)
 	endA()
@@ -86,14 +98,14 @@ func TestTimeline(t *testing.T) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}
 	}
-	// tiny width is clamped, empty tracer renders a placeholder
-	if !strings.Contains(New(1).Timeline(1), "no spans") {
-		t.Fatal("empty tracer should render placeholder")
+	// tiny width is clamped, an empty span log renders a placeholder
+	if !strings.Contains(spanRegistry(1).Timeline(1), "no spans") {
+		t.Fatal("empty span log should render placeholder")
 	}
 }
 
 func TestTimelineReportsDropped(t *testing.T) {
-	tr := New(1)
+	tr := spanRegistry(1)
 	tr.Span("op", "a")()
 	tr.Span("op", "b")()
 	if !strings.Contains(tr.Timeline(20), "dropped") {
@@ -102,8 +114,8 @@ func TestTimelineReportsDropped(t *testing.T) {
 }
 
 func TestSpanLabelsRecorded(t *testing.T) {
-	tr := New(16)
-	end := tr.SpanL("partial-kmeans", "cell0/1",
+	tr := spanRegistry(16)
+	end := tr.Span("partial-kmeans", "cell0/1",
 		Label{Key: "stage", Value: "partial-kmeans"},
 		Label{Key: "chunk", Value: "1"})
 	end()
@@ -122,19 +134,19 @@ func TestSpanLabelsRecorded(t *testing.T) {
 		t.Fatalf(`absent label = %q, want ""`, got)
 	}
 	if spans[1].Labels != nil {
-		t.Fatalf("plain Span recorded labels %v", spans[1].Labels)
+		t.Fatalf("unlabeled span recorded labels %v", spans[1].Labels)
 	}
 }
 
 func TestSummaryAggregatesPerOp(t *testing.T) {
-	tr := New(16)
+	tr := spanRegistry(16)
 	for i := 0; i < 3; i++ {
-		end := tr.SpanL("partial-kmeans", "x", Label{Key: "stage", Value: "partial-kmeans"})
+		end := tr.Span("partial-kmeans", "x", Label{Key: "stage", Value: "partial-kmeans"})
 		time.Sleep(time.Millisecond)
 		end()
 	}
 	tr.Span("merge-kmeans", "y")()
-	sum := tr.Summary()
+	sum := tr.TraceSummary()
 	if len(sum) != 2 {
 		t.Fatalf("summary has %d ops, want 2: %+v", len(sum), sum)
 	}
@@ -145,33 +157,33 @@ func TestSummaryAggregatesPerOp(t *testing.T) {
 	if sum[1].Spans != 3 {
 		t.Fatalf("partial spans = %d, want 3", sum[1].Spans)
 	}
-	if sum[1].Busy <= 0 {
-		t.Fatalf("partial busy = %v, want > 0", sum[1].Busy)
+	if sum[1].BusySeconds <= 0 {
+		t.Fatalf("partial busy = %v, want > 0", sum[1].BusySeconds)
 	}
 }
 
 // TestLabeledSpanDropConcurrent closes many labeled spans at once
 // against a tiny capacity: exactly cap spans survive, the rest are
-// counted dropped, and Summary sees only the retained ones.
+// counted dropped, and TraceSummary sees only the retained ones.
 func TestLabeledSpanDropConcurrent(t *testing.T) {
 	const capacity, total = 8, 64
-	tr := New(capacity)
+	tr := spanRegistry(capacity)
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr.SpanL("partial-kmeans", "item", Label{Key: "stage", Value: "partial-kmeans"})()
+			tr.Span("partial-kmeans", "item", Label{Key: "stage", Value: "partial-kmeans"})()
 		}()
 	}
 	wg.Wait()
 	if got := len(tr.Spans()); got != capacity {
 		t.Fatalf("retained %d spans, want %d", got, capacity)
 	}
-	if got := tr.Dropped(); got != total-capacity {
+	if got := tr.DroppedSpans(); got != total-capacity {
 		t.Fatalf("dropped = %d, want %d", got, total-capacity)
 	}
-	sum := tr.Summary()
+	sum := tr.TraceSummary()
 	if len(sum) != 1 || sum[0].Spans != capacity {
 		t.Fatalf("summary %+v, want %d spans of one op", sum, capacity)
 	}

@@ -7,11 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
 func TestDynamicTransformBasic(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 8)
 	out := NewQueue[int]("out", 8)
 	RunSource(g, ctx, reg, "src", rangeSource(100), in)
@@ -32,8 +34,8 @@ func TestDynamicTransformBasic(t *testing.T) {
 			t.Fatalf("item %d = %d", i, v)
 		}
 	}
-	if dt.Stats().Processed() != 100 {
-		t.Fatalf("processed = %d", dt.Stats().Processed())
+	if got := (stageView{reg, "dyn"}).Processed(); got != 100 {
+		t.Fatalf("processed = %d", got)
 	}
 	if dt.Clones() != 2 {
 		t.Fatalf("clones = %d", dt.Clones())
@@ -59,6 +61,7 @@ func TestDynamicTransformInitialFloor(t *testing.T) {
 
 func TestDynamicTransformScalesUpMidRun(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 4)
 	out := NewQueue[int]("out", 200)
 	release := make(chan struct{})
@@ -70,8 +73,8 @@ func TestDynamicTransformScalesUpMidRun(t *testing.T) {
 		<-release
 		return emit(x)
 	}
-	RunSource(g, ctx, nil, "src", rangeSource(50), in)
-	dt := RunStage(g, ctx, nil, StageConfig[int]{Name: "dyn", Clones: 1}, fn, in, out)
+	RunSource(g, ctx, reg, "src", rangeSource(50), in)
+	dt := RunStage(g, ctx, reg, StageConfig[int]{Name: "dyn", Clones: 1}, fn, in, out)
 	sink, snap := Collect[int]()
 	RunSink(g, ctx, nil, "sink", 1, sink, out)
 
@@ -100,8 +103,8 @@ func TestDynamicTransformScalesUpMidRun(t *testing.T) {
 	if got := snap(); len(got) != 50 {
 		t.Fatalf("delivered %d items", len(got))
 	}
-	if dt.Stats().Clones() != 4 {
-		t.Fatalf("stats clones = %d", dt.Stats().Clones())
+	if got := (stageView{reg, "dyn"}).Clones(); got != 4 {
+		t.Fatalf("stream_clones = %d", got)
 	}
 }
 

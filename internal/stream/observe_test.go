@@ -3,27 +3,47 @@ package stream
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"streamkm/internal/obs"
 )
 
-// Tests for the stage's observability hooks: the per-item latency hook
-// the engine feeds into obs histograms, and the panic counter absorbed
-// into the stream_panics metric family.
+// Tests for what stages record into the obs registry: the per-item
+// stage_seconds histogram and the panic counter behind the
+// stream_panics family.
+
+// stageView reads one stage's stream_* families back from a registry.
+type stageView struct {
+	reg   *obs.Registry
+	stage string
+}
+
+func (v stageView) counter(name string) int64 { return v.reg.Snapshot().Counter(name, v.stage) }
+
+func (v stageView) gauge(name string) float64 {
+	g, _ := v.reg.Snapshot().Gauge(name, v.stage)
+	return g
+}
+
+func (v stageView) Processed() int64   { return v.counter(obs.StreamItemsIn) }
+func (v stageView) Emitted() int64     { return v.counter(obs.StreamItemsOut) }
+func (v stageView) Retries() int64     { return v.counter(obs.StreamRetries) }
+func (v stageView) Quarantined() int64 { return v.counter(obs.StreamQuarantined) }
+func (v stageView) Dropped() int64     { return v.counter(obs.StreamDropped) }
+func (v stageView) Panics() int64      { return v.counter(obs.StreamPanics) }
+func (v stageView) Clones() int        { return int(v.gauge(obs.StreamClones)) }
+func (v stageView) Busy() float64      { return v.gauge(obs.StreamBusySeconds) }
 
 // TestStageObserveFiresOncePerItem runs a supervised stage where one
-// item fails its first attempt: the Observe hook must fire once per
+// item fails its first attempt: stage_seconds must be observed once per
 // item (after the item fully completes, retries included), never per
-// attempt, because the engine files it into a per-chunk histogram.
+// attempt, because it is a per-chunk histogram.
 func TestStageObserveFiresOncePerItem(t *testing.T) {
 	const items = 12
-	var observed, negative atomic.Int64
 	var failedOnce atomic.Bool
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 4)
 	out := NewQueue[int]("out", items)
 	fn := func(_ context.Context, x int, emit Emit[int]) error {
@@ -34,15 +54,7 @@ func TestStageObserveFiresOncePerItem(t *testing.T) {
 	}
 	sup := &Supervisor[int]{Retry: RetryPolicy{MaxRetries: 2, BaseBackoff: -1}}
 	RunSource(g, ctx, reg, "src", rangeSource(items), in)
-	st := RunStage(g, ctx, reg, StageConfig[int]{
-		Name: "work", Clones: 2, Sup: sup,
-		Observe: func(d time.Duration) {
-			observed.Add(1)
-			if d < 0 {
-				negative.Add(1)
-			}
-		},
-	}, fn, in, out)
+	RunStage(g, ctx, reg, StageConfig[int]{Name: "work", Clones: 2, Sup: sup}, fn, in, out)
 	sink, snap := Collect[int]()
 	RunSink(g, ctx, reg, "sink", 1, sink, out)
 	if err := g.Wait(); err != nil {
@@ -51,21 +63,22 @@ func TestStageObserveFiresOncePerItem(t *testing.T) {
 	if len(snap()) != items {
 		t.Fatalf("delivered %d items, want %d", len(snap()), items)
 	}
-	if got := observed.Load(); got != items {
-		t.Fatalf("Observe fired %d times, want %d (once per item)", got, items)
+	h := reg.Snapshot().Histogram(obs.StageSeconds, "work")
+	if h == nil || h.Count != items {
+		t.Fatalf("stage_seconds = %+v, want count %d (once per item)", h, items)
 	}
-	if negative.Load() != 0 {
-		t.Fatalf("%d observations had negative duration", negative.Load())
+	if h.Min < 0 {
+		t.Fatalf("negative item duration %g", h.Min)
 	}
-	if st.Stats().Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", st.Stats().Retries())
+	if got := (stageView{reg, "work"}).Retries(); got != 1 {
+		t.Fatalf("retries = %d, want 1", got)
 	}
 }
 
-// TestOpStatsCountsPanics recovers a transient panic under supervision
-// and requires it on the panic counter — the signal behind the
-// stream_panics metric family — without also counting plain errors.
-func TestOpStatsCountsPanics(t *testing.T) {
+// TestStageCountsPanics recovers a transient panic under supervision
+// and requires it on the stream_panics counter without also counting
+// plain errors.
+func TestStageCountsPanics(t *testing.T) {
 	var panicked, errored atomic.Bool
 	fn := func(_ context.Context, v int, emit Emit[int]) error {
 		if v == 3 && !panicked.Swap(true) {
@@ -89,8 +102,5 @@ func TestOpStatsCountsPanics(t *testing.T) {
 	}
 	if stats.Retries() != 2 {
 		t.Fatalf("Retries() = %d, want 2", stats.Retries())
-	}
-	if s := fmt.Sprint(stats); !strings.Contains(s, "panics=1") {
-		t.Fatalf("String() %q does not report the panic", s)
 	}
 }

@@ -2,10 +2,10 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
 // Emit delivers one output item downstream, blocking under backpressure.
@@ -24,150 +24,63 @@ type TransformFunc[I, O any] func(ctx context.Context, in I, emit Emit[O]) error
 // merge operator at the plan root feeds a result collector).
 type SinkFunc[I any] func(ctx context.Context, in I) error
 
-// OpStats reports one operator's lifetime counters. Clones of an operator
-// aggregate into a single OpStats, and so do restart attempts of the
-// same plan: re-registering an operator name in a registry returns the
-// existing entry, so counters accumulate across every attempt instead
-// of reporting only the last one.
-type OpStats struct {
-	name      string
-	clones    atomic.Int32
-	processed atomic.Int64
-	emitted   atomic.Int64
-	busyNanos atomic.Int64
-	// Fault-tolerance counters, maintained by the supervised runners.
-	retries     atomic.Int64
-	quarantined atomic.Int64
-	dropped     atomic.Int64
-	panics      atomic.Int64
+// stageMetrics caches one stage's (or source's) instruments, labeled
+// by its name. The registry's get-or-create makes clones of a stage
+// share them, and so do the stages a restarted plan rebuilds under the
+// same name: counts accumulate across every attempt.
+type stageMetrics struct {
+	itemsIn, itemsOut                     *obs.Counter
+	retries, quarantined, dropped, panics *obs.Counter
+	clones                                *obs.Gauge
+	busy                                  *obs.FloatGauge
+	// seconds is the per-item stage_seconds histogram (nil for sources,
+	// which have no items of their own).
+	seconds *obs.Histogram
 }
 
-// Name returns the operator name.
-func (s *OpStats) Name() string { return s.name }
-
-// Clones returns the high-water replica count the operator ran with.
-func (s *OpStats) Clones() int { return int(s.clones.Load()) }
-
-// growClones raises the recorded replica count to n (never lowers it),
-// so a stage scaled up by the re-optimizer reports its peak.
-func (s *OpStats) growClones(n int32) {
-	for {
-		cur := s.clones.Load()
-		if n <= cur || s.clones.CompareAndSwap(cur, n) {
-			return
-		}
+// newStageMetrics looks up name's instruments in reg, with the
+// per-item latency histogram when perItem is set. A nil reg records
+// nothing: the stage updates instruments no one reads.
+func newStageMetrics(reg *obs.Registry, name string, perItem bool) *stageMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-}
-
-// Processed returns the number of input items consumed.
-func (s *OpStats) Processed() int64 { return s.processed.Load() }
-
-// Emitted returns the number of output items produced.
-func (s *OpStats) Emitted() int64 { return s.emitted.Load() }
-
-// Busy returns the cumulative time spent inside the operator function,
-// summed across clones (so with c clones Busy can exceed wall-clock).
-func (s *OpStats) Busy() time.Duration { return time.Duration(s.busyNanos.Load()) }
-
-// Retries returns the number of item-level retry attempts performed by a
-// supervised runner (0 for unsupervised operators).
-func (s *OpStats) Retries() int64 { return s.retries.Load() }
-
-// Quarantined returns the number of poison items diverted to the
-// dead-letter queue after exhausting their retry budget.
-func (s *OpStats) Quarantined() int64 { return s.quarantined.Load() }
-
-// Dropped returns the number of poison items lost because the dead-letter
-// queue was full.
-func (s *OpStats) Dropped() int64 { return s.dropped.Load() }
-
-// Panics returns the number of operator panics recovered by supervision
-// (0 for unsupervised operators, whose panics kill the plan instead).
-func (s *OpStats) Panics() int64 { return s.panics.Load() }
-
-// String formats the stats for logs and tables.
-func (s *OpStats) String() string {
-	base := fmt.Sprintf("%s[x%d]: in=%d out=%d busy=%v",
-		s.name, s.Clones(), s.Processed(), s.Emitted(), s.Busy())
-	if r, q, d, p := s.Retries(), s.Quarantined(), s.Dropped(), s.Panics(); r > 0 || q > 0 || d > 0 || p > 0 {
-		base += fmt.Sprintf(" retries=%d quarantined=%d dropped=%d panics=%d", r, q, d, p)
+	m := &stageMetrics{
+		itemsIn:     reg.Counter(obs.StreamItemsIn, name),
+		itemsOut:    reg.Counter(obs.StreamItemsOut, name),
+		retries:     reg.Counter(obs.StreamRetries, name),
+		quarantined: reg.Counter(obs.StreamQuarantined, name),
+		dropped:     reg.Counter(obs.StreamDropped, name),
+		panics:      reg.Counter(obs.StreamPanics, name),
+		clones:      reg.Gauge(obs.StreamClones, name),
+		busy:        reg.FloatGauge(obs.StreamBusySeconds, name),
 	}
-	return base
-}
-
-// StatsRegistry collects OpStats for every operator in a running plan.
-type StatsRegistry struct {
-	mu    sync.Mutex
-	stats []*OpStats
-}
-
-// NewStatsRegistry returns an empty registry.
-func NewStatsRegistry() *StatsRegistry { return &StatsRegistry{} }
-
-// register returns the stats slot for name, creating it on first use.
-// Re-registering an existing name (a restarted plan rebuilding its
-// pipeline) returns the same slot so counters aggregate across
-// attempts rather than resetting.
-func (r *StatsRegistry) register(name string, clones int) *OpStats {
-	if r == nil {
-		s := &OpStats{name: name}
-		s.growClones(int32(clones))
-		return s
+	if perItem {
+		m.seconds = reg.Histogram(obs.StageSeconds, name, obs.LatencyBuckets())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.stats {
-		if s.name == name {
-			s.growClones(int32(clones))
-			return s
-		}
-	}
-	s := &OpStats{name: name}
-	s.growClones(int32(clones))
-	r.stats = append(r.stats, s)
-	return s
-}
-
-// All returns the registered operator stats in registration order.
-func (r *StatsRegistry) All() []*OpStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*OpStats, len(r.stats))
-	copy(out, r.stats)
-	return out
-}
-
-// Lookup returns the stats for the named operator, or nil.
-func (r *StatsRegistry) Lookup(name string) *OpStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.stats {
-		if s.name == name {
-			return s
-		}
-	}
-	return nil
+	return m
 }
 
 // RunSource starts fn on the group, emitting into out. The output queue
 // is closed when the source returns, propagating end-of-stream
-// downstream. reg may be nil.
-func RunSource[T any](g *Group, ctx context.Context, reg *StatsRegistry, name string, fn SourceFunc[T], out *Queue[T]) *OpStats {
-	stats := reg.register(name, 1)
+// downstream. The source records its stream_* families into reg under
+// name; reg may be nil.
+func RunSource[T any](g *Group, ctx context.Context, reg *obs.Registry, name string, fn SourceFunc[T], out *Queue[T]) {
+	m := newStageMetrics(reg, name, false)
+	m.clones.SetMax(1)
 	g.Go(name, func() error {
 		defer out.Close()
 		start := time.Now()
-		defer func() { stats.busyNanos.Add(int64(time.Since(start))) }()
+		defer func() { m.busy.Add(time.Since(start).Seconds()) }()
 		emit := func(v T) error {
 			if err := out.Put(ctx, v); err != nil {
 				return err
 			}
-			stats.emitted.Add(1)
+			m.itemsOut.Inc()
 			return nil
 		}
 		return fn(ctx, emit)
 	})
-	return stats
 }
 
 // RunTransform starts clones replicas of fn on the group, all consuming
@@ -175,15 +88,15 @@ func RunSource[T any](g *Group, ctx context.Context, reg *StatsRegistry, name st
 // clone finishes, which is the fan-in barrier that lets a downstream
 // consumer treat cloned operators as one logical operator (Fig. 3).
 // clones < 1 is treated as 1. reg may be nil.
-func RunTransform[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, name string, clones int, fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *OpStats {
-	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, fn, in, out).Stats()
+func RunTransform[I, O any](g *Group, ctx context.Context, reg *obs.Registry, name string, clones int, fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) {
+	RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, fn, in, out)
 }
 
 // RunSink starts clones replicas of fn on the group, consuming from in.
 // clones < 1 is treated as 1. reg may be nil.
-func RunSink[I any](g *Group, ctx context.Context, reg *StatsRegistry, name string, clones int, fn SinkFunc[I], in *Queue[I]) *OpStats {
+func RunSink[I any](g *Group, ctx context.Context, reg *obs.Registry, name string, clones int, fn SinkFunc[I], in *Queue[I]) {
 	asTransform := func(ctx context.Context, item I, _ Emit[struct{}]) error { return fn(ctx, item) }
-	return RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, asTransform, in, (*Queue[struct{}])(nil)).Stats()
+	RunStage(g, ctx, reg, StageConfig[I]{Name: name, Clones: clones}, asTransform, in, (*Queue[struct{}])(nil))
 }
 
 // Collect is a convenience sink that appends every item into a slice

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
 // rangeSource emits 0..n-1.
@@ -82,7 +84,7 @@ func contains(s, sub string) bool {
 
 func TestSourceTransformSinkPipeline(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	q1 := NewQueue[int]("src-out", 4)
 	q2 := NewQueue[int]("xform-out", 4)
 
@@ -109,12 +111,12 @@ func TestSourceTransformSinkPipeline(t *testing.T) {
 
 func TestClonedTransformProcessesEverythingOnce(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	q1 := NewQueue[int]("in", 8)
 	q2 := NewQueue[int]("out", 8)
 	RunSource(g, ctx, reg, "src", rangeSource(500), q1)
 	ident := func(_ context.Context, in int, emit Emit[int]) error { return emit(in) }
-	st := RunTransform(g, ctx, reg, "ident", 8, ident, q1, q2)
+	RunTransform(g, ctx, reg, "ident", 8, ident, q1, q2)
 	sink, snapshot := Collect[int]()
 	RunSink(g, ctx, reg, "collect", 1, sink, q2)
 	if err := g.Wait(); err != nil {
@@ -131,6 +133,7 @@ func TestClonedTransformProcessesEverythingOnce(t *testing.T) {
 		}
 		seen[v] = true
 	}
+	st := stageView{reg, "ident"}
 	if st.Clones() != 8 {
 		t.Fatalf("Clones = %d", st.Clones())
 	}
@@ -222,8 +225,10 @@ func TestFanOutTransformEmitsMultiple(t *testing.T) {
 	}
 }
 
-func TestStatsRegistry(t *testing.T) {
-	reg := NewStatsRegistry()
+// TestStagesRecordIntoRegistry: a source and a sink file their stream_*
+// families under their names, and only a stage observes stage_seconds.
+func TestStagesRecordIntoRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
 	g, ctx := NewGroup(context.Background())
 	q1 := NewQueue[int]("in", 4)
 	RunSource(g, ctx, reg, "src", rangeSource(5), q1)
@@ -232,23 +237,22 @@ func TestStatsRegistry(t *testing.T) {
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	all := reg.All()
-	if len(all) != 2 {
-		t.Fatalf("registry has %d entries", len(all))
+	src, snk := stageView{reg, "src"}, stageView{reg, "sink"}
+	if src.Emitted() != 5 || src.Processed() != 0 || src.Clones() != 1 {
+		t.Fatalf("src: out=%d in=%d clones=%d", src.Emitted(), src.Processed(), src.Clones())
 	}
-	src := reg.Lookup("src")
-	if src == nil || src.Emitted() != 5 {
-		t.Fatalf("src stats: %v", src)
+	if snk.Processed() != 5 || snk.Emitted() != 0 || snk.Clones() != 3 {
+		t.Fatalf("sink: in=%d out=%d clones=%d", snk.Processed(), snk.Emitted(), snk.Clones())
 	}
-	snk := reg.Lookup("sink")
-	if snk == nil || snk.Processed() != 5 || snk.Clones() != 3 {
-		t.Fatalf("sink stats: %v", snk)
+	snap := reg.Snapshot()
+	if h := snap.Histogram(obs.StageSeconds, "sink"); h == nil || h.Count != 5 {
+		t.Fatalf("sink stage_seconds = %+v, want count 5", h)
 	}
-	if reg.Lookup("missing") != nil {
-		t.Fatal("Lookup of unknown op should be nil")
+	if h := snap.Histogram(obs.StageSeconds, "src"); h != nil {
+		t.Fatalf("source observed stage_seconds: %+v", h)
 	}
-	if s := src.String(); s == "" {
-		t.Fatal("String should format")
+	if n := len(snap.Counters); n != 12 {
+		t.Fatalf("registry holds %d counters, want 6 per stage", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
 // This file holds the single stage runner behind every transform-shaped
@@ -53,13 +55,6 @@ type StageConfig[I any] struct {
 	// to supervision: a supervised item beats once per item, not per
 	// retry attempt.
 	Beat Heartbeat
-	// Observe, when non-nil, receives each item's processing duration
-	// after the item fully completes (including downstream emissions) —
-	// the metrics layer's per-stage latency hook. Like Beat it fires
-	// once per item, not per retry attempt, and must be safe for
-	// concurrent use by cloned operators (an obs.Histogram updated per
-	// chunk is the canonical implementation).
-	Observe func(d time.Duration)
 }
 
 // Stage is a running transform (or sink) stage. All replicas consume
@@ -68,16 +63,15 @@ type StageConfig[I any] struct {
 // that lets a downstream consumer treat cloned operators as one
 // logical operator (Fig. 3).
 type Stage[I, O any] struct {
-	name    string
-	fn      TransformFunc[I, O]
-	in      *Queue[I]
-	out     *Queue[O] // nil for sink stages
-	g       *Group
-	ctx     context.Context
-	stats   *OpStats
-	sup     *Supervisor[I]      // nil = unsupervised
-	beat    Heartbeat           // nil = no liveness hook
-	observe func(time.Duration) // nil = no latency hook
+	name string
+	fn   TransformFunc[I, O]
+	in   *Queue[I]
+	out  *Queue[O] // nil for sink stages
+	g    *Group
+	ctx  context.Context
+	m    *stageMetrics
+	sup  *Supervisor[I] // nil = unsupervised
+	beat Heartbeat      // nil = no liveness hook
 
 	mu      sync.Mutex
 	initial int
@@ -89,8 +83,11 @@ type Stage[I, O any] struct {
 
 // RunStage starts a stage on the group. A nil out makes it a sink
 // stage (fn's emissions, if any, are rejected by the nil queue — sink
-// adapters simply never emit). reg may be nil.
-func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg StageConfig[I], fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *Stage[I, O] {
+// adapters simply never emit). The stage records its stream_* families
+// and each item's stage_seconds into reg under cfg.Name: an item's
+// latency and busy time are measured once per item, not per retry
+// attempt, and include its downstream emissions. reg may be nil.
+func RunStage[I, O any](g *Group, ctx context.Context, reg *obs.Registry, cfg StageConfig[I], fn TransformFunc[I, O], in *Queue[I], out *Queue[O]) *Stage[I, O] {
 	initial := cfg.Clones
 	if initial < 1 {
 		initial = 1
@@ -102,10 +99,9 @@ func RunStage[I, O any](g *Group, ctx context.Context, reg *StatsRegistry, cfg S
 		out:     out,
 		g:       g,
 		ctx:     ctx,
-		stats:   reg.register(cfg.Name, initial),
+		m:       newStageMetrics(reg, cfg.Name, true),
 		sup:     cfg.Sup,
 		beat:    cfg.Beat,
-		observe: cfg.Observe,
 		initial: initial,
 		done:    make(chan struct{}),
 	}
@@ -139,9 +135,6 @@ func (s *Stage[I, O]) replicaDone() {
 // has returned. Sidecars watching the stage end on it.
 func (s *Stage[I, O]) Done() <-chan struct{} { return s.done }
 
-// Stats returns the stage's aggregate counters.
-func (s *Stage[I, O]) Stats() *OpStats { return s.stats }
-
 // Clones returns the current replica count.
 func (s *Stage[I, O]) Clones() int {
 	s.mu.Lock()
@@ -166,7 +159,7 @@ func (s *Stage[I, O]) AddClone() bool {
 func (s *Stage[I, O]) spawnLocked() {
 	idx := s.clones
 	s.clones++
-	s.stats.growClones(int32(s.clones))
+	s.m.clones.SetMax(int64(s.clones))
 	// A single-replica stage keeps the bare operator name (so errors
 	// read "partial-kmeans", not "partial-kmeans#0"); replicas of a
 	// multi-clone or scaled-up stage are numbered.
@@ -182,7 +175,7 @@ func (s *Stage[I, O]) spawnLocked() {
 			if err := s.out.Put(s.ctx, v); err != nil {
 				return err
 			}
-			s.stats.emitted.Add(1)
+			s.m.itemsOut.Inc()
 			return nil
 		}
 		for {
@@ -193,7 +186,7 @@ func (s *Stage[I, O]) spawnLocked() {
 			if !ok {
 				return nil
 			}
-			s.stats.processed.Add(1)
+			s.m.itemsIn.Inc()
 			if err := s.processOne(cloneName, item, &buf, emit); err != nil {
 				return err
 			}
@@ -214,15 +207,13 @@ func (s *Stage[I, O]) processOne(cloneName string, item I, buf *[]O, emit func(O
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)
-		s.stats.busyNanos.Add(int64(d))
-		if s.observe != nil {
-			s.observe(d)
-		}
+		s.m.busy.Add(d.Seconds())
+		s.m.seconds.ObserveDuration(d)
 	}()
 	if s.sup == nil {
 		return s.fn(s.ctx, item, emit)
 	}
-	ok, err := superviseItem(s.ctx, cloneName, s.sup, s.sup.itemSeed(item), s.stats, s.fn, item, buf)
+	ok, err := superviseItem(s.ctx, cloneName, s.sup, s.sup.itemSeed(item), s.m, s.fn, item, buf)
 	if err != nil || !ok {
 		return err // failed, or quarantined (ok=false, err=nil)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
 // Tests for the unified stage runner's distinguishing power: the
@@ -15,7 +17,7 @@ import (
 
 func TestStageSupervisedAndDynamicCompose(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 4)
 	out := NewQueue[int]("out", 200)
 	release := make(chan struct{})
@@ -62,33 +64,42 @@ func TestStageSupervisedAndDynamicCompose(t *testing.T) {
 	if got := snap(); len(got) != 40 {
 		t.Fatalf("delivered %d items, want 40", len(got))
 	}
-	if st.Stats().Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", st.Stats().Retries())
+	work := stageView{reg, "work"}
+	if work.Retries() != 1 {
+		t.Fatalf("retries = %d, want 1", work.Retries())
 	}
-	if st.Stats().Clones() != 3 {
-		t.Fatalf("stats clones = %d, want 3", st.Stats().Clones())
+	if work.Clones() != 3 {
+		t.Fatalf("stream_clones = %d, want 3", work.Clones())
 	}
-	if st.Stats().Busy() == 0 {
+	if work.Busy() == 0 {
 		t.Fatal("dynamic stage recorded no busy time")
 	}
 }
 
-func TestStatsRegistryMergesByName(t *testing.T) {
-	reg := NewStatsRegistry()
-	a := reg.register("op", 2)
-	a.processed.Add(5)
-	b := reg.register("op", 1) // a rebuilt pipeline re-registers
-	if a != b {
-		t.Fatal("re-registering a name must return the same stats slot")
+// TestRestartedStageAccumulates runs a stage twice under one name into
+// one registry, as a restarted plan rebuilds its pipeline: the second
+// run's counts add to the first's, and the clone gauge keeps its
+// high-water mark.
+func TestRestartedStageAccumulates(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, clones := range []int{2, 1} {
+		g, ctx := NewGroup(context.Background())
+		in := NewQueue[int]("in", 4)
+		RunSource(g, ctx, reg, "src", rangeSource(5), in)
+		RunSink(g, ctx, reg, "op", clones, func(context.Context, int) error { return nil }, in)
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if b.Processed() != 5 {
-		t.Fatalf("counters reset on re-register: processed = %d", b.Processed())
+	op := stageView{reg, "op"}
+	if op.Processed() != 10 {
+		t.Fatalf("counts reset on the second run: processed = %d, want 10", op.Processed())
 	}
-	if b.Clones() != 2 {
-		t.Fatalf("clones = %d, want high-water 2", b.Clones())
+	if op.Clones() != 2 {
+		t.Fatalf("stream_clones = %d, want high-water 2", op.Clones())
 	}
-	if n := len(reg.All()); n != 1 {
-		t.Fatalf("registry holds %d entries, want 1", n)
+	if n := len(reg.Snapshot().Counters); n != 12 {
+		t.Fatalf("registry holds %d counters, want 6 per stage name", n)
 	}
 }
 
@@ -140,8 +151,9 @@ func TestBackoffNegativeBaseDisablesDelay(t *testing.T) {
 func TestSinkStageAddCloneAfterDrain(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
 	in := NewQueue[int]("in", 4)
-	RunSource(g, ctx, nil, "src", rangeSource(3), in)
-	st := RunStage(g, ctx, nil, StageConfig[int]{Name: "sink", Clones: 2},
+	reg := obs.NewRegistry()
+	RunSource(g, ctx, reg, "src", rangeSource(3), in)
+	st := RunStage(g, ctx, reg, StageConfig[int]{Name: "sink", Clones: 2},
 		func(context.Context, int, Emit[struct{}]) error { return nil }, in, (*Queue[struct{}])(nil))
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -149,8 +161,8 @@ func TestSinkStageAddCloneAfterDrain(t *testing.T) {
 	if st.AddClone() {
 		t.Fatal("AddClone after drain should report false")
 	}
-	if st.Stats().Processed() != 3 {
-		t.Fatalf("processed = %d, want 3", st.Stats().Processed())
+	if got := (stageView{reg, "sink"}).Processed(); got != 3 {
+		t.Fatalf("processed = %d, want 3", got)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // recovers panics into typed errors, retries a failing item with
 // exponential backoff plus deterministic jitter, and after the retry
 // budget is exhausted quarantines the poison item into a bounded
-// dead-letter queue instead of wedging the pipeline. Retry, quarantine,
-// and drop counts are surfaced through OpStats.
+// dead-letter queue instead of wedging the pipeline. Retry, panic,
+// quarantine, and drop counts land in the stage's stream_* families.
 
 // PanicError is an operator panic recovered into a typed error, so
 // supervisors and callers can distinguish crashes from ordinary failures.
@@ -266,14 +266,14 @@ func attemptTransform[I, O any](ctx context.Context, op string, fn TransformFunc
 // It returns the buffered emissions on success; ok=false means the item
 // was quarantined (or dropped) and the caller should continue with the
 // next item; a non-nil error fails the operator.
-func superviseItem[I, O any](ctx context.Context, op string, sup *Supervisor[I], seed uint64, stats *OpStats, fn TransformFunc[I, O], item I, buf *[]O) (ok bool, err error) {
+func superviseItem[I, O any](ctx context.Context, op string, sup *Supervisor[I], seed uint64, m *stageMetrics, fn TransformFunc[I, O], item I, buf *[]O) (ok bool, err error) {
 	attempts, err := sup.Retry.Attempts(ctx, seed,
-		func(int, error) { stats.retries.Add(1) },
+		func(int, error) { m.retries.Inc() },
 		func(int) error {
 			err := attemptTransform(ctx, op, fn, item, buf)
 			var pe *PanicError
 			if errors.As(err, &pe) {
-				stats.panics.Add(1)
+				m.panics.Inc()
 			}
 			return err
 		})
@@ -288,9 +288,9 @@ func superviseItem[I, O any](ctx context.Context, op string, sup *Supervisor[I],
 	}
 	d := DeadLetter[I]{Item: item, Op: op, Attempts: attempts, Err: err}
 	if sup.DLQ.add(d) {
-		stats.quarantined.Add(1)
+		m.quarantined.Inc()
 	} else {
-		stats.dropped.Add(1)
+		m.dropped.Inc()
 	}
 	if sup.OnQuarantine != nil {
 		sup.OnQuarantine(d)

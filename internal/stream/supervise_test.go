@@ -10,12 +10,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamkm/internal/obs"
 )
 
-func runSupervisedInts(t *testing.T, sup *Supervisor[int], clones int, fn TransformFunc[int, int], inputs []int) ([]int, *OpStats, error) {
+func runSupervisedInts(t *testing.T, sup *Supervisor[int], clones int, fn TransformFunc[int, int], inputs []int) ([]int, stageView, error) {
 	t.Helper()
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 8)
 	out := NewQueue[int]("out", 8)
 	RunSource(g, ctx, reg, "src", func(_ context.Context, emit Emit[int]) error {
@@ -26,11 +28,11 @@ func runSupervisedInts(t *testing.T, sup *Supervisor[int], clones int, fn Transf
 		}
 		return nil
 	}, in)
-	stats := RunStage(g, ctx, reg, StageConfig[int]{Name: "work", Clones: clones, Sup: sup}, fn, in, out).Stats()
+	RunStage(g, ctx, reg, StageConfig[int]{Name: "work", Clones: clones, Sup: sup}, fn, in, out)
 	sink, snapshot := Collect[int]()
 	RunSink(g, ctx, reg, "sink", 1, sink, out)
 	err := g.Wait()
-	return snapshot(), stats, err
+	return snapshot(), stageView{reg, "work"}, err
 }
 
 func TestSupervisedRetriesTransientFailure(t *testing.T) {
@@ -61,7 +63,7 @@ func TestSupervisedRetriesTransientFailure(t *testing.T) {
 		t.Fatalf("Retries() = %d, want 2", stats.Retries())
 	}
 	if stats.Quarantined() != 0 || stats.Dropped() != 0 {
-		t.Fatalf("unexpected quarantine: %s", stats)
+		t.Fatalf("unexpected quarantine: %d quarantined, %d dropped", stats.Quarantined(), stats.Dropped())
 	}
 }
 
@@ -151,9 +153,6 @@ func TestSupervisedQuarantinesPoisonItems(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("OnQuarantine saw %v", seen)
 	}
-	if !strings.Contains(stats.String(), "quarantined=3") {
-		t.Fatalf("stats string %q", stats.String())
-	}
 }
 
 func TestDeadLetterQueueBoundedDropsOverflow(t *testing.T) {
@@ -203,7 +202,7 @@ func TestSupervisedRetryDiscardsPartialEmissions(t *testing.T) {
 func TestSupervisedDoesNotRetryCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g, gctx := NewGroup(ctx)
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 2)
 	out := NewQueue[int]("out", 2)
 	started := make(chan struct{})
@@ -215,9 +214,10 @@ func TestSupervisedDoesNotRetryCancellation(t *testing.T) {
 	RunSource(g, gctx, reg, "src", func(_ context.Context, emit Emit[int]) error {
 		return emit(1)
 	}, in)
-	stats := RunStage(g, gctx, reg, StageConfig[int]{Name: "work", Sup: &Supervisor[int]{
+	RunStage(g, gctx, reg, StageConfig[int]{Name: "work", Sup: &Supervisor[int]{
 		Retry: RetryPolicy{MaxRetries: 100, BaseBackoff: time.Hour},
-	}}, fn, in, out).Stats()
+	}}, fn, in, out)
+	stats := stageView{reg, "work"}
 	RunSink(g, gctx, reg, "sink", 1, func(context.Context, int) error { return nil }, out)
 	<-started
 	cancel()
@@ -231,7 +231,7 @@ func TestSupervisedDoesNotRetryCancellation(t *testing.T) {
 
 func TestSupervisedSinkQuarantines(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 4)
 	RunSource(g, ctx, reg, "src", func(_ context.Context, emit Emit[int]) error {
 		for v := 1; v <= 4; v++ {
@@ -244,7 +244,7 @@ func TestSupervisedSinkQuarantines(t *testing.T) {
 	var kept []int
 	var mu sync.Mutex
 	dlq := NewDeadLetterQueue[int](4)
-	stats := RunStage(g, ctx, reg, StageConfig[int]{Name: "sink", Sup: &Supervisor[int]{
+	RunStage(g, ctx, reg, StageConfig[int]{Name: "sink", Sup: &Supervisor[int]{
 		Retry: RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond},
 		DLQ:   dlq,
 	}}, func(_ context.Context, v int, _ Emit[struct{}]) error {
@@ -255,7 +255,8 @@ func TestSupervisedSinkQuarantines(t *testing.T) {
 		kept = append(kept, v)
 		mu.Unlock()
 		return nil
-	}, in, (*Queue[struct{}])(nil)).Stats()
+	}, in, (*Queue[struct{}])(nil))
+	stats := stageView{reg, "sink"}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestSupervisedSinkQuarantines(t *testing.T) {
 
 func TestSupervisedDynamicTransformRetries(t *testing.T) {
 	g, ctx := NewGroup(context.Background())
-	reg := NewStatsRegistry()
+	reg := obs.NewRegistry()
 	in := NewQueue[int]("in", 8)
 	out := NewQueue[int]("out", 8)
 	var failures atomic.Int64
@@ -299,8 +300,8 @@ func TestSupervisedDynamicTransformRetries(t *testing.T) {
 	if got := snapshot(); len(got) != 8 {
 		t.Fatalf("got %d items", len(got))
 	}
-	if dt.Stats().Retries() != 1 {
-		t.Fatalf("Retries() = %d", dt.Stats().Retries())
+	if got := (stageView{reg, "work"}).Retries(); got != 1 {
+		t.Fatalf("Retries() = %d", got)
 	}
 }
 

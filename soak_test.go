@@ -11,6 +11,8 @@ import (
 	"streamkm/internal/engine"
 	"streamkm/internal/fault"
 	"streamkm/internal/stream"
+
+	"streamkm/internal/obs"
 )
 
 // TestStreamClustererHeapStaysBounded is the memory-bottleneck claim
@@ -140,12 +142,12 @@ func TestFaultInjectedWindowedSoak(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("injector never fired")
 	}
-	op := stats.Registry.Lookup("partial-kmeans")
-	if op == nil || op.Retries() == 0 {
+	retries := stats.Obs.Snapshot().Counter(obs.StreamRetries, "partial-kmeans")
+	if retries == 0 {
 		t.Fatal("supervision recorded no retries")
 	}
 	t.Logf("absorbed %d injected faults (%d panics) with %d retries",
-		inj.Faults(), inj.Panics(), op.Retries())
+		inj.Faults(), inj.Panics(), retries)
 
 	f, c := faulty[0].Result, clean[0].Result
 	if faulty[0].Partitions != n/chunk {
