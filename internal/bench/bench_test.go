@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamkm/internal/core"
 	"streamkm/internal/dataset"
 )
 
@@ -352,25 +353,59 @@ func TestRunDistributedScaleup(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	// Each Run re-measures real compute, so cross-run makespans carry
-	// timing noise; Speedup normalizes within a run and is the stable
-	// quantity to assert on.
-	if rows[0].Speedup > 1.1 {
-		t.Fatalf("1-machine speedup %g", rows[0].Speedup)
-	}
-	if rows[len(rows)-1].Speedup <= rows[0].Speedup {
-		t.Fatalf("speedup did not grow with machines: %+v", rows)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].MergeMSE != rows[0].MergeMSE {
+	// One measured run feeds every row, so the speed-up column follows
+	// from the makespan column.
+	for _, r := range rows {
+		if want := float64(rows[0].Makespan) / float64(r.Makespan); r.Speedup != want {
+			t.Fatalf("machines=%d speedup %g, want makespan(1)/makespan = %g", r.Machines, r.Speedup, want)
+		}
+		if r.MergeMSE != rows[0].MergeMSE {
 			t.Fatalf("machine count changed the result: %+v", rows)
 		}
+	}
+	if rows[len(rows)-1].Speedup <= 1 {
+		t.Fatalf("speedup did not grow with machines: %+v", rows)
+	}
+	// 6000 4-d points out at 32 B each, 8 summaries of K=6 back at 40 B.
+	if want := float64(6000*32+8*6*40) / (1 << 20); rows[0].BytesMB != want {
+		t.Fatalf("BytesMB = %g, want %g", rows[0].BytesMB, want)
 	}
 	if !strings.Contains(FormatDistributed(rows), "makespan") {
 		t.Fatal("FormatDistributed missing header")
 	}
 	if _, err := RunDistributedScaleup(tinyWorkload(), 600, 4, nil); err == nil {
 		t.Fatal("no machine counts should error")
+	}
+	if _, err := RunDistributedScaleup(tinyWorkload(), 600, 0, []int{1}); err == nil {
+		t.Fatal("zero splits should error")
+	}
+	if _, err := RunDistributedScaleup(tinyWorkload(), 600, 4, []int{0}); err == nil {
+		t.Fatal("zero machines should error")
+	}
+}
+
+// TestDistributedScaleupMatchesCluster: E7 runs the engine, whose
+// one-cell answer is core.Cluster's, so its merge MSE equals
+// core.Cluster's bit for bit.
+func TestDistributedScaleupMatchesCluster(t *testing.T) {
+	w := tinyWorkload()
+	const n, splits = 600, 4
+	rows, err := RunDistributedScaleup(w, n, splits, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := w.cell(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Cluster(cell, core.Options{K: w.K, Restarts: w.Restarts, Splits: splits, Seed: w.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.MergeMSE != want.MergeMSE {
+			t.Fatalf("machines=%d merge MSE %v, core.Cluster %v", r.Machines, r.MergeMSE, want.MergeMSE)
+		}
 	}
 }
 

@@ -1,96 +1,17 @@
-// Package distsim simulates the paper's execution environment — a
+// Package distsim models the paper's execution environment — a
 // shared-nothing network of PCs (four Dell Optiplexes on a Netgear
-// gigabit switch, §5.1) — deterministically on one box. Partial k-means
-// work per chunk is measured for real; network costs (per-message
-// latency plus payload bytes over bandwidth) are modeled; the makespan
-// is computed by event-driven scheduling rather than wall-clock
-// sleeping. This regenerates the §3.4 option-1 scale-up claim ("clone
-// the partial k-means to as many machines as possible ... the data for
-// one data partition has to be sent to one machine only") with the §2
-// message-passing overhead made explicit.
+// gigabit switch, §5.1) — deterministically on one box. Per-job compute
+// is measured elsewhere (E7 reads it from the engine's partial-stage
+// spans); network costs (per-message latency plus payload bytes over
+// bandwidth) are modeled; the makespan is computed by event-driven
+// scheduling rather than wall-clock sleeping. This regenerates the §3.4
+// option-1 scale-up claim ("clone the partial k-means to as many
+// machines as possible ... the data for one data partition has to be
+// sent to one machine only") with the §2 message-passing overhead made
+// explicit.
 package distsim
 
-import (
-	"fmt"
-	"time"
-
-	"streamkm/internal/core"
-	"streamkm/internal/dataset"
-	"streamkm/internal/metrics"
-	"streamkm/internal/rng"
-)
-
-// Config describes the simulated cluster and the clustering job.
-type Config struct {
-	// Machines is the number of worker PCs (the coordinator runs the
-	// scan and the merge, as in the paper's option 1).
-	Machines int
-	// NetLatency is the per-message fixed cost (e.g. 100µs on a LAN).
-	NetLatency time.Duration
-	// NetBandwidth is payload bytes per second (e.g. 125e6 for GigE).
-	NetBandwidth float64
-	// Splits is the partition count p.
-	Splits int
-	// K, Restarts, Seed parameterize the clustering as usual.
-	K        int
-	Restarts int
-	Seed     uint64
-}
-
-func (c Config) validate() error {
-	if c.Machines <= 0 {
-		return fmt.Errorf("distsim: machines must be positive, got %d", c.Machines)
-	}
-	if c.NetLatency < 0 {
-		return fmt.Errorf("distsim: negative latency")
-	}
-	if c.NetBandwidth <= 0 {
-		return fmt.Errorf("distsim: bandwidth must be positive, got %g", c.NetBandwidth)
-	}
-	if c.Splits <= 0 {
-		return fmt.Errorf("distsim: splits must be positive, got %d", c.Splits)
-	}
-	if c.K <= 0 || c.Restarts <= 0 {
-		return fmt.Errorf("distsim: K and Restarts must be positive")
-	}
-	return nil
-}
-
-// Report is the simulated distributed run's outcome.
-type Report struct {
-	// Makespan is the simulated end-to-end time: scan/dispatch,
-	// parallel partial work with transfer costs, centroid collection,
-	// and the coordinator's merge.
-	Makespan time.Duration
-	// ComputeTime is the real, measured sum of partial k-means compute
-	// across all chunks (what one machine alone would spend).
-	ComputeTime time.Duration
-	// MergeTime is the real, measured coordinator merge time.
-	MergeTime time.Duration
-	// TransferTime is the total modeled network time (serialized).
-	TransferTime time.Duration
-	// BytesMoved is the modeled payload volume (chunks out, centroids
-	// back).
-	BytesMoved int64
-	// Messages counts network messages.
-	Messages int
-	// PerMachineBusy is each worker's simulated busy time.
-	PerMachineBusy []time.Duration
-	// MergeMSE and PointMSE report the result quality (identical to a
-	// local run with the same seed).
-	MergeMSE float64
-	PointMSE float64
-}
-
-// Speedup relates the makespan to the serial execution of the same work
-// on one machine with no network (compute + merge only).
-func (r *Report) Speedup() float64 {
-	serial := r.ComputeTime + r.MergeTime
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(serial) / float64(r.Makespan)
-}
+import "time"
 
 // Job is one schedulable unit of distributed work: its measured (or
 // estimated) compute time plus the modeled transfer payloads in each
@@ -123,10 +44,10 @@ type Timeline struct {
 // Schedule runs the event-driven timing model on its own: the
 // coordinator dispatches jobs in order over a shared link (sends
 // serialize at the coordinator NIC), each worker processes its jobs
-// sequentially, and results return as soon as compute finishes. It is
-// the exact model Run uses internally, exported so other suites — the
-// loopback distributed runtime in particular — can compare a real run's
-// makespan against the model's prediction for the same job set.
+// sequentially, and results return as soon as compute finishes. E7
+// schedules one measured job set onto every machine count, and the
+// loopback distributed runtime's suite compares a real run's makespan
+// against the model's prediction for the same job set.
 func Schedule(machines int, latency time.Duration, bandwidth float64, jobs []Job) Timeline {
 	transfer := func(bytes int64) time.Duration {
 		return latency + time.Duration(float64(bytes)/bandwidth*float64(time.Second))
@@ -145,7 +66,7 @@ func Schedule(machines int, latency time.Duration, bandwidth float64, jobs []Job
 		// The job leaves the coordinator when the shared link is free.
 		sendDone := linkFree + transfer(job.OutBytes)
 		linkFree = sendDone
-		start := maxDur(sendDone, workerFree[best])
+		start := max(sendDone, workerFree[best])
 		finish := start + job.Compute
 		workerFree[best] = finish
 		tl.PerMachineBusy[best] += job.Compute
@@ -159,72 +80,4 @@ func Schedule(machines int, latency time.Duration, bandwidth float64, jobs []Job
 		tl.TransferTime += transfer(job.OutBytes) + transfer(job.InBytes)
 	}
 	return tl
-}
-
-// Run simulates clustering one cell on the configured cluster. The
-// clustering result is bit-identical to core.Cluster with the same
-// parameters; only the timing model differs.
-func Run(cell *dataset.Set, cfg Config) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	r := rng.New(cfg.Seed)
-	chunks, err := dataset.Split(cell, cfg.Splits, dataset.SplitRandom, r)
-	if err != nil {
-		return nil, err
-	}
-	dim := cell.Dim()
-	pointBytes := int64(dim) * 8
-
-	// Execute every chunk's partial k-means for real, measuring compute.
-	jobs := make([]Job, len(chunks))
-	parts := make([]*dataset.WeightedSet, len(chunks))
-	var computeTotal time.Duration
-	for i, chunk := range chunks {
-		pr, err := core.PartialKMeans(chunk, core.PartialConfig{
-			K: cfg.K, Restarts: cfg.Restarts,
-		}, r.Split())
-		if err != nil {
-			return nil, fmt.Errorf("distsim: chunk %d: %w", i, err)
-		}
-		jobs[i] = Job{
-			Compute:  pr.Elapsed,
-			OutBytes: int64(chunk.Len()) * pointBytes,
-			InBytes:  int64(pr.Centroids.Len()) * (pointBytes + 8),
-		}
-		parts[i] = pr.Centroids
-		computeTotal += pr.Elapsed
-	}
-
-	tl := Schedule(cfg.Machines, cfg.NetLatency, cfg.NetBandwidth, jobs)
-	report := &Report{
-		PerMachineBusy: tl.PerMachineBusy,
-		TransferTime:   tl.TransferTime,
-		BytesMoved:     tl.BytesMoved,
-		Messages:       tl.Messages,
-	}
-
-	// Coordinator merge, measured for real, in deterministic chunk order
-	// (collective merging is arrival-order insensitive anyway).
-	mr, err := core.MergeKMeans(parts, core.MergeConfig{K: cfg.K}, r.Split())
-	if err != nil {
-		return nil, err
-	}
-	pm, err := metrics.MSE(cell, mr.Centroids)
-	if err != nil {
-		return nil, err
-	}
-	report.ComputeTime = computeTotal
-	report.MergeTime = mr.Elapsed
-	report.Makespan = tl.AllArrived + mr.Elapsed
-	report.MergeMSE = mr.MSE
-	report.PointMSE = pm
-	return report, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,170 +1,68 @@
 package distsim
 
 import (
-	"math"
 	"testing"
 	"time"
-
-	"streamkm/internal/dataset"
 )
 
-func simCell(t testing.TB, n int) *dataset.Set {
-	t.Helper()
-	spec := dataset.DefaultCellSpec()
-	spec.Clusters = 10
-	spec.Dim = 4
-	spec.NoiseFrac = 0
-	s, err := dataset.GenerateCell(spec, n, 41)
-	if err != nil {
-		t.Fatal(err)
+// computeJobs returns n compute-dominated jobs: 10ms of compute each,
+// shipping a 48 KB chunk out and 2 KB of centroids back.
+func computeJobs(n int) []Job {
+	js := make([]Job, n)
+	for i := range js {
+		js[i] = Job{Compute: 10 * time.Millisecond, OutBytes: 48_000, InBytes: 2_000}
 	}
-	return s
+	return js
 }
 
-func baseConfig() Config {
-	return Config{
-		Machines:     4,
-		NetLatency:   100 * time.Microsecond,
-		NetBandwidth: 125e6, // gigabit
-		Splits:       8,
-		K:            10,
-		Restarts:     2,
-		Seed:         9,
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	cell := simCell(t, 400)
-	mutations := []func(*Config){
-		func(c *Config) { c.Machines = 0 },
-		func(c *Config) { c.NetLatency = -1 },
-		func(c *Config) { c.NetBandwidth = 0 },
-		func(c *Config) { c.Splits = 0 },
-		func(c *Config) { c.K = 0 },
-		func(c *Config) { c.Restarts = 0 },
-	}
-	for i, mut := range mutations {
-		cfg := baseConfig()
-		mut(&cfg)
-		if _, err := Run(cell, cfg); err == nil {
-			t.Errorf("mutation %d should be rejected", i)
-		}
-	}
-}
-
-func TestRunBasics(t *testing.T) {
-	cell := simCell(t, 2000)
-	rep, err := Run(cell, baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Makespan <= 0 || rep.ComputeTime <= 0 || rep.MergeTime <= 0 {
-		t.Fatalf("timings: %+v", rep)
-	}
-	// 8 chunks × 2 messages each.
-	if rep.Messages != 16 {
-		t.Fatalf("Messages = %d", rep.Messages)
-	}
-	if rep.BytesMoved <= int64(2000*4*8) {
-		t.Fatalf("BytesMoved = %d, must exceed the raw payload", rep.BytesMoved)
-	}
-	if len(rep.PerMachineBusy) != 4 {
-		t.Fatalf("PerMachineBusy = %v", rep.PerMachineBusy)
-	}
-	var busy time.Duration
-	for _, b := range rep.PerMachineBusy {
-		busy += b
-	}
-	if busy != rep.ComputeTime {
-		t.Fatalf("busy sum %v != compute %v", busy, rep.ComputeTime)
-	}
-	if rep.PointMSE <= 0 {
-		t.Fatalf("PointMSE = %g", rep.PointMSE)
-	}
+// speedup is makespan(1)/makespan(m) for one job set, as E7 reports it.
+func speedup(m int, bandwidth float64, jobs []Job) float64 {
+	const latency = 100 * time.Microsecond
+	one := Schedule(1, latency, bandwidth, jobs).AllArrived
+	return float64(one) / float64(Schedule(m, latency, bandwidth, jobs).AllArrived)
 }
 
 func TestMoreMachinesIncreaseSpeedup(t *testing.T) {
-	// Each Run re-measures real per-chunk compute, so makespans from
-	// separate Run calls carry scheduler noise; Speedup (normalized
-	// within a run) is the stable quantity.
-	cell := simCell(t, 6000)
+	jobs := computeJobs(8)
+	if s := speedup(1, 125e6, jobs); s != 1 {
+		t.Fatalf("1-machine speedup %g, want 1", s)
+	}
 	var prev float64
-	for i, machines := range []int{1, 2, 4} {
-		cfg := baseConfig()
-		cfg.Machines = machines
-		cfg.Splits = 8
-		rep, err := Run(cell, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, machines := range []int{1, 2, 4} {
+		s := speedup(machines, 125e6, jobs)
+		if s <= prev {
+			t.Fatalf("machines=%d speedup %g not above previous %g", machines, s, prev)
 		}
-		if i > 0 && rep.Speedup() <= prev {
-			t.Fatalf("machines=%d speedup %g not above previous %g",
-				machines, rep.Speedup(), prev)
+		prev = s
+		// Every job runs exactly once, on one machine.
+		tl := Schedule(machines, 100*time.Microsecond, 125e6, jobs)
+		var busy time.Duration
+		for _, b := range tl.PerMachineBusy {
+			busy += b
 		}
-		prev = rep.Speedup()
-		if machines == 1 {
-			// One machine: speedup relative to serial must be <= 1
-			// (transfers only add cost).
-			if s := rep.Speedup(); s > 1.0+1e-9 {
-				t.Fatalf("1-machine speedup %g > 1", s)
-			}
+		if len(tl.PerMachineBusy) != machines || busy != 80*time.Millisecond {
+			t.Fatalf("machines=%d: busy %v over %d machines, want 80ms", machines, tl.PerMachineBusy, machines)
 		}
 	}
 }
 
 func TestSpeedupBoundedByMachinesAndChunks(t *testing.T) {
-	cell := simCell(t, 6000)
-	cfg := baseConfig()
-	cfg.Machines = 16 // more machines than chunks
-	cfg.Splits = 4
-	rep, err := Run(cell, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := rep.Speedup(); s > 4.5 {
-		t.Fatalf("speedup %g exceeds the chunk-count bound", s)
+	// More machines than jobs: at most 4 jobs run at once.
+	if s := speedup(16, 125e6, computeJobs(4)); s > 4 {
+		t.Fatalf("speedup %g exceeds the job-count bound", s)
 	}
 }
 
 func TestSlowNetworkErodesSpeedup(t *testing.T) {
-	cell := simCell(t, 4000)
-	fast := baseConfig()
-	slow := baseConfig()
-	slow.NetBandwidth = 1e5 // 100 KB/s: transfers dominate
-	fastRep, err := Run(cell, fast)
-	if err != nil {
-		t.Fatal(err)
+	jobs := computeJobs(8)
+	// 100 KB/s: the serialized dispatch link dominates.
+	fast, slow := speedup(4, 125e6, jobs), speedup(4, 1e5, jobs)
+	if slow >= fast {
+		t.Fatalf("slow network speedup %g not below fast %g", slow, fast)
 	}
-	slowRep, err := Run(cell, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slowRep.Speedup() >= fastRep.Speedup() {
-		t.Fatalf("slow network speedup %g not below fast %g",
-			slowRep.Speedup(), fastRep.Speedup())
-	}
-	if slowRep.TransferTime <= fastRep.TransferTime {
-		t.Fatalf("transfer time did not grow: %v vs %v",
-			slowRep.TransferTime, fastRep.TransferTime)
-	}
-}
-
-func TestResultQualityMatchesLocalRun(t *testing.T) {
-	// The simulation is a timing model; the clustering itself must be
-	// exactly what a local run with the same seed produces.
-	cell := simCell(t, 2000)
-	cfg := baseConfig()
-	a, err := Run(cell, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Machines = 1 // machine count is timing-only
-	b, err := Run(cell, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.MergeMSE-b.MergeMSE) > 1e-12 || math.Abs(a.PointMSE-b.PointMSE) > 1e-12 {
-		t.Fatalf("machine count changed the clustering: %g/%g vs %g/%g",
-			a.MergeMSE, a.PointMSE, b.MergeMSE, b.PointMSE)
+	fastT := Schedule(4, 100*time.Microsecond, 125e6, jobs).TransferTime
+	slowT := Schedule(4, 100*time.Microsecond, 1e5, jobs).TransferTime
+	if slowT <= fastT {
+		t.Fatalf("transfer time did not grow: %v vs %v", slowT, fastT)
 	}
 }
