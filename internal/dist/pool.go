@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -282,9 +283,10 @@ func (p *Pool) acquire(ctx context.Context) (*workerConn, error) {
 	}
 }
 
-// release returns a worker to rotation after a successful lease.
+// release returns a worker to rotation after a lease it answered: a
+// result, or a fail frame for the leased chunk (a refusal or a failed
+// computation, with the connection intact).
 func (p *Pool) release(w *workerConn) {
-	w.consecFails = 0
 	if w.evicted.Load() {
 		return
 	}
@@ -340,10 +342,18 @@ func (p *Pool) Partial(ctx context.Context, c engine.RemoteChunk) (*core.Partial
 		pr, err := w.do(ctx, p.cfg, c)
 		if err != nil {
 			trail = append(trail, engine.Assignment{Worker: w.addr, Err: err.Error()})
-			p.fail(w)
+			// A worker that answered with a fail frame is healthy: only
+			// transport errors count toward its eviction.
+			var rf *remoteFailure
+			if errors.As(err, &rf) {
+				p.release(w)
+			} else {
+				p.fail(w)
+			}
 			return err
 		}
 		trail = append(trail, engine.Assignment{Worker: w.addr})
+		w.consecFails = 0
 		p.release(w)
 		res = pr
 		return nil
@@ -434,11 +444,28 @@ func (w *workerConn) do(ctx context.Context, cfg PoolConfig, c engine.RemoteChun
 				w.dups.Inc()
 				continue
 			}
-			return nil, fmt.Errorf("dist: worker %s: remote failure: %s", w.addr, msg)
+			conn.SetReadDeadline(time.Time{})
+			return nil, &remoteFailure{addr: w.addr, msg: msg}
 		default:
 			return nil, fmt.Errorf("%w: expected result, got frame type %d", ErrBadFrame, typ)
 		}
 	}
+}
+
+// remoteFailure is a worker's fail frame for the leased chunk: the
+// worker refused the chunk or its computation failed, and the
+// connection is still healthy. A refusal (the message carries
+// ErrUnknownOperator's text) matches ErrUnknownOperator under errors.Is.
+type remoteFailure struct {
+	addr, msg string
+}
+
+func (e *remoteFailure) Error() string {
+	return fmt.Sprintf("dist: worker %s: remote failure: %s", e.addr, e.msg)
+}
+
+func (e *remoteFailure) Is(target error) bool {
+	return target == ErrUnknownOperator && strings.Contains(e.msg, ErrUnknownOperator.Error())
 }
 
 // chunkSeed mixes a chunk's identity into a jitter seed so each chunk's

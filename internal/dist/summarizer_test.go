@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -93,24 +94,63 @@ func TestWorkerAllowlistRefusesOperator(t *testing.T) {
 func TestWorkerRefusesUnknownOperatorName(t *testing.T) {
 	addrs, stop := startWorkers(t, 1, WorkerConfig{})
 	defer stop()
+	pool, err := NewPool(context.Background(), PoolConfig{Addrs: addrs, Retry: quickRetry(1), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	for _, spec := range []core.SummarizerSpec{
 		{Name: "birch", Params: map[string]string{"k": "4"}},
 		{Name: "kmeans", Params: map[string]string{"k": "4", "restarts": "1", "accel": "true"}},
 	} {
-		// A fresh pool per spec: the refusal evicts the worker.
-		pool, err := NewPool(context.Background(), PoolConfig{Addrs: addrs, Retry: quickRetry(1), Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, _, err = pool.Partial(context.Background(), engine.RemoteChunk{
 			Cell: 0, Chunk: 0, Total: 1, Points: distCell(t, 60, 4), RNG: rng.New(1), Spec: spec,
 		})
-		pool.Close()
 		if err == nil {
 			t.Fatalf("%s computed", spec.Encode())
 		}
 		if !strings.Contains(err.Error(), ErrUnknownOperator.Error()) {
 			t.Fatalf("%s: failure does not carry the typed error: %v", spec.Encode(), err)
 		}
+	}
+}
+
+// TestRefusalsDoNotEvict: a worker's refusal is an answer, not a
+// failure. Two refused chunks in a row, under a retry budget that
+// re-leases each one, must each surface as ErrUnknownOperator, keep the
+// only worker in rotation, and leave it able to compute the next chunk.
+func TestRefusalsDoNotEvict(t *testing.T) {
+	addrs, stop := startWorkers(t, 1, WorkerConfig{})
+	defer stop()
+	pool, err := NewPool(context.Background(), PoolConfig{Addrs: addrs, Retry: quickRetry(1), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	chunk := func(cell int, spec core.SummarizerSpec) engine.RemoteChunk {
+		return engine.RemoteChunk{Cell: cell, Chunk: 0, Total: 1, Points: distCell(t, 60, 4), RNG: rng.New(1), Spec: spec}
+	}
+	for i, spec := range []core.SummarizerSpec{
+		{Name: "birch", Params: map[string]string{"k": "4"}},
+		{Name: "kmeans", Params: map[string]string{"k": "4", "restarts": "1", "accel": "true"}},
+	} {
+		_, trail, err := pool.Partial(context.Background(), chunk(i, spec))
+		if !errors.Is(err, ErrUnknownOperator) {
+			t.Fatalf("%s: err = %v, want ErrUnknownOperator", spec.Encode(), err)
+		}
+		if len(trail) != 2 {
+			t.Fatalf("%s: lease trail %+v, want the refusal and its one re-lease", spec.Encode(), trail)
+		}
+		if pool.Live() != 1 {
+			t.Fatalf("%s: refusal evicted the worker (%d live)", spec.Encode(), pool.Live())
+		}
+	}
+	pr, _, err := pool.Partial(context.Background(),
+		chunk(2, core.SummarizerSpec{Name: core.SummarizerKMeans, Params: map[string]string{"k": "4", "restarts": "1"}}))
+	if err != nil {
+		t.Fatalf("valid chunk after two refusals: %v", err)
+	}
+	if pr == nil || pr.Centroids.Len() == 0 {
+		t.Fatal("empty result for the valid chunk")
 	}
 }
