@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -264,9 +265,14 @@ func (r *runner) driver(name string) (loadgen.DriverReport, error) {
 }
 
 // degBudget sizes the induced governor budget so that of degSessions
-// offered, only degAdmit fit — the degradation scenario's premise.
-func (r *runner) degBudget() int64 {
-	return loadgen.SessionCost(r.prof.session) * int64(r.prof.degAdmit)
+// offered, only degAdmit fit — the degradation scenario's premise. Each
+// session costs the daemon's own admission estimate.
+func (r *runner) degBudget() (int64, error) {
+	cost, ok := r.prof.session.DaemonConfig().AdmissionCost()
+	if !ok || cost > math.MaxInt64/int64(r.prof.degAdmit) {
+		return 0, fmt.Errorf("degradation budget for %d sessions of %+v is beyond int64", r.prof.degAdmit, r.prof.session)
+	}
+	return cost * int64(r.prof.degAdmit), nil
 }
 
 func (r *runner) engine() (loadgen.DriverReport, error) {
@@ -299,8 +305,12 @@ func (r *runner) engine() (loadgen.DriverReport, error) {
 		rep.Latency = res
 	}
 	if r.scenarios[loadgen.ScenarioDegradation] {
+		budget, err := r.degBudget()
+		if err != nil {
+			return rep, err
+		}
 		d := loadgen.NewEngineDriver(nil)
-		d.MemoryBudget = r.degBudget()
+		d.MemoryBudget = budget
 		res, err := loadgen.RunDegradation(d, r.corpus, loadgen.DegradationOptions{
 			Sessions: p.degSessions, BatchPoints: p.batch,
 			RatePPS: p.degRate, Duration: p.degDuration,
@@ -421,7 +431,11 @@ func (r *runner) daemon() (loadgen.DriverReport, error) {
 		rep.Latency = res
 	}
 	if r.scenarios[loadgen.ScenarioDegradation] {
-		d, err := r.spawnDaemon(loadgen.ScenarioDegradation, r.degBudget())
+		budget, err := r.degBudget()
+		if err != nil {
+			return rep, err
+		}
+		d, err := r.spawnDaemon(loadgen.ScenarioDegradation, budget)
 		if err != nil {
 			return rep, err
 		}

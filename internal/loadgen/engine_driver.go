@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"streamkm"
+	"streamkm/internal/serve"
 )
 
 // EngineDriver drives streamkm.WindowedClusterer instances in-process:
@@ -48,12 +49,18 @@ func NewEngineDriver(clock Clock) *EngineDriver {
 // Name identifies the driver in reports.
 func (d *EngineDriver) Name() string { return "engine" }
 
-// SessionCost mirrors the serving layer's working-set estimate for a
-// windowed session: the chunk buffer plus W+3 k-summaries.
-func SessionCost(spec SessionSpec) int64 {
-	per := int64(8 * (spec.Dim + 1))
-	return int64(spec.ChunkPoints)*int64(spec.Dim)*8 +
-		int64(spec.WindowChunks+3)*int64(spec.K)*per
+// DaemonConfig is the daemon's session config for spec's windowed
+// sessions (the shape; each session's seed is derived per session).
+func (spec SessionSpec) DaemonConfig() serve.SessionConfig {
+	return serve.SessionConfig{
+		Kind:         serve.KindWindowed,
+		Dim:          spec.Dim,
+		K:            spec.K,
+		ChunkPoints:  spec.ChunkPoints,
+		WindowChunks: spec.WindowChunks,
+		Seed:         spec.Seed,
+		FsyncEvery:   spec.FsyncEvery,
+	}
 }
 
 func (spec SessionSpec) windowedOptions() streamkm.WindowedOptions {
@@ -65,16 +72,22 @@ func (spec SessionSpec) windowedOptions() streamkm.WindowedOptions {
 	}
 }
 
-// Open admits up to n sessions, stopping at the memory budget.
+// Open admits up to n sessions, stopping at the memory budget. Each
+// session is charged the daemon's admission estimate for the shape; a
+// shape whose estimate overflows int64 is refused, as the daemon
+// refuses it.
 func (d *EngineDriver) Open(spec SessionSpec, n int) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.spec = spec
 	d.sessions, d.images = nil, nil
+	cost, ok := spec.DaemonConfig().AdmissionCost()
+	if !ok {
+		return 0, fmt.Errorf("loadgen: session shape %+v: memory estimate beyond int64", spec)
+	}
 	var used int64
-	cost := SessionCost(spec)
 	for i := 0; i < n; i++ {
-		if d.MemoryBudget > 0 && used+cost > d.MemoryBudget {
+		if d.MemoryBudget > 0 && cost > d.MemoryBudget-used {
 			break
 		}
 		win, err := streamkm.NewWindowedClusterer(spec.Dim, sessionOptions(spec, len(d.sessions)))

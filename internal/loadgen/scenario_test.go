@@ -132,7 +132,8 @@ func TestEngineScenariosEndToEnd(t *testing.T) {
 	}
 
 	deg := NewEngineDriver(nil)
-	deg.MemoryBudget = 2 * SessionCost(spec)
+	cost, _ := spec.DaemonConfig().AdmissionCost()
+	deg.MemoryBudget = 2 * cost
 	dr, err := RunDegradation(deg, c, DegradationOptions{
 		Sessions: 4, BatchPoints: 16,
 		RatePPS: 2000, Duration: 100 * time.Millisecond,

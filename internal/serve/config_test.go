@@ -131,8 +131,13 @@ func FuzzSessionConfig(f *testing.F) {
 		exact := new(big.Int).Mul(big.NewInt(int64(cfg.ChunkPoints)), big.NewInt(8*int64(cfg.Dim)))
 		retained := new(big.Int).Mul(summaries, big.NewInt(int64(cfg.K)))
 		exact.Add(exact, retained.Mul(retained, big.NewInt(8*int64(cfg.Dim+1))))
-		if got := probe.liveCost(); got < 0 || big.NewInt(got).Cmp(exact) < 0 {
+		got := probe.liveCost()
+		if got < 0 || big.NewInt(got).Cmp(exact) < 0 {
 			t.Fatalf("estimate %d for exact cost %s (%+v)", got, exact, cfg)
+		}
+		// A new session is charged the exported admission estimate.
+		if admit, _ := cfg.AdmissionCost(); admit != got {
+			t.Fatalf("AdmissionCost %d, but a new session is charged %d (%+v)", admit, got, cfg)
 		}
 	})
 }

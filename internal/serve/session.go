@@ -102,14 +102,22 @@ func (c SessionConfig) validate() error {
 	if c.FsyncEvery < 0 || c.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: fsync_every and checkpoint_every must be non-negative", ErrBadRequest)
 	}
+	if _, ok := c.AdmissionCost(); !ok {
+		return fmt.Errorf("%w: chunk_points, window_chunks, k and dim give a memory estimate beyond int64", ErrBadRequest)
+	}
+	return nil
+}
+
+// AdmissionCost is the working-set estimate the daemon charges a new
+// session of this shape: the chunk buffer plus W+3 summaries for a
+// windowed session, 2 for a stream. ok is false when the estimate does
+// not fit in int64; validate refuses such a config.
+func (c SessionConfig) AdmissionCost() (cost int64, ok bool) {
 	summaries := 2
 	if c.kind() == KindWindowed {
 		summaries = c.WindowChunks + 3
 	}
-	if _, ok := c.costEstimate(summaries); !ok {
-		return fmt.Errorf("%w: chunk_points, window_chunks, k and dim give a memory estimate beyond int64", ErrBadRequest)
-	}
-	return nil
+	return c.costEstimate(summaries)
 }
 
 // costEstimate is the working-set estimate liveCost charges for a
