@@ -17,6 +17,9 @@ fi
 
 go vet ./...
 go build ./...
+# perfbench/ is its own Go module (the benchmark harness), so the root
+# ./... skips it; it imports obs, loadgen and the facade.
+(cd perfbench && go vet ./... && go build ./...)
 go test -race ./...
 
 # Stall-fault soak: wedge the partial stage at several invocation
