@@ -636,8 +636,9 @@ func run(cfg runConfig) (*engine.DegradedResult, error) {
 	if cfg.allowDegraded {
 		opts = append(opts, engine.WithDegradedResults())
 	}
-	// pmkm owns the metrics registry so the progress ticker can read
-	// counters while the engine is still writing them.
+	// pmkm owns the telemetry registry so the progress ticker can read
+	// counters while the engine is still writing them; -trace draws the
+	// spans the engine records into it.
 	reg := obs.NewRegistry()
 	opts = append(opts, engine.WithObserver(reg))
 	var workerAddrs []string
