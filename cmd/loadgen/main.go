@@ -268,7 +268,7 @@ func (r *runner) driver(name string) (loadgen.DriverReport, error) {
 // offered, only degAdmit fit — the degradation scenario's premise. Each
 // session costs the daemon's own admission estimate.
 func (r *runner) degBudget() (int64, error) {
-	cost, ok := r.prof.session.DaemonConfig().AdmissionCost()
+	cost, ok := r.prof.session.SessionConfig(0).AdmissionCost()
 	if !ok || cost > math.MaxInt64/int64(r.prof.degAdmit) {
 		return 0, fmt.Errorf("degradation budget for %d sessions of %+v is beyond int64", r.prof.degAdmit, r.prof.session)
 	}

@@ -9,7 +9,6 @@ import (
 	"streamkm/internal/core"
 	"streamkm/internal/dataset"
 	"streamkm/internal/grid"
-
 	"streamkm/internal/obs"
 )
 

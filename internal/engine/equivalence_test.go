@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"streamkm/internal/fault"
-	"streamkm/internal/stream"
-
 	"streamkm/internal/obs"
-
-	"reflect"
+	"streamkm/internal/stream"
 )
 
 // This file is the bit-identical equivalence suite for the composable

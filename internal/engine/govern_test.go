@@ -13,9 +13,8 @@ import (
 	"streamkm/internal/govern"
 	"streamkm/internal/grid"
 	"streamkm/internal/metrics"
-	"streamkm/internal/rng"
-
 	"streamkm/internal/obs"
+	"streamkm/internal/rng"
 )
 
 // governCells builds a two-cell workload whose chunking is exactly

@@ -3,18 +3,15 @@ package engine
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"streamkm/internal/fault"
 	"streamkm/internal/obs"
 	"streamkm/internal/stream"
-
-	"reflect"
-
-	"regexp"
-
-	"strings"
 )
 
 // Tests for the engine's obs wiring: one supervised faulty run must
@@ -205,6 +202,33 @@ func TestExecReportDegraded(t *testing.T) {
 	}
 	if got := rep.Metrics.Counter(obs.StreamQuarantined, "partial-kmeans"); got != 1 {
 		t.Fatalf("stream_quarantined = %d, want 1", got)
+	}
+}
+
+// TestReportKeysWhenNoStageRuns: a run resumed from a journal that
+// already holds every chunk merges from the journal and starts no
+// pipeline stage. Its report still carries both stages' stage_seconds
+// keys (count 0), and no stream_* family, since no stage ran.
+func TestReportKeysWhenNoStageRuns(t *testing.T) {
+	cells, q, plan := governCells(t)
+	journal := NewJournal()
+	if _, _, err := NewExec(q, plan, WithJournal(journal)).Execute(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := NewExec(q, plan, WithJournal(journal)).Execute(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := stats.Report().Metrics
+	for _, stage := range []string{"partial-kmeans", "merge-kmeans"} {
+		if h := m.Histogram(obs.StageSeconds, stage); h == nil || h.Count != 0 {
+			t.Fatalf("stage_seconds{%s} = %+v, want the key with count 0", stage, h)
+		}
+	}
+	for _, c := range m.Counters {
+		if strings.HasPrefix(c.Name, "stream_") {
+			t.Fatalf("no stage ran, yet the report has %s{%s}", c.Name, c.Stage)
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 
 	"streamkm/internal/fault"
 	"streamkm/internal/grid"
-	"streamkm/internal/stream"
-
 	"streamkm/internal/obs"
+	"streamkm/internal/stream"
 )
 
 func recoverCells(t *testing.T) ([]Cell, Query, PhysicalPlan) {

@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"streamkm/internal/grid"
-	"streamkm/internal/stream"
-
 	"streamkm/internal/obs"
+	"streamkm/internal/stream"
 )
 
 func TestReoptMatchesExecute(t *testing.T) {

@@ -203,19 +203,7 @@ func (d *DaemonDriver) Open(spec SessionSpec, n int) (int, error) {
 	d.mu.Unlock()
 	admitted := 0
 	for i := 0; i < n; i++ {
-		body := map[string]any{
-			"id":            loadSessionID(i),
-			"kind":          "windowed",
-			"dim":           spec.Dim,
-			"k":             spec.K,
-			"chunk_points":  spec.ChunkPoints,
-			"window_chunks": spec.WindowChunks,
-			"seed":          spec.Seed + uint64(i)*0x9e3779b97f4a7c15,
-		}
-		if spec.FsyncEvery > 0 {
-			body["fsync_every"] = spec.FsyncEvery
-		}
-		err := d.do(http.MethodPost, "/v1/sessions", body)
+		err := d.do(http.MethodPost, "/v1/sessions", spec.SessionConfig(i))
 		if errors.Is(err, ErrBackpressure) {
 			break
 		}

@@ -49,18 +49,26 @@ func NewEngineDriver(clock Clock) *EngineDriver {
 // Name identifies the driver in reports.
 func (d *EngineDriver) Name() string { return "engine" }
 
-// DaemonConfig is the daemon's session config for spec's windowed
-// sessions (the shape; each session's seed is derived per session).
-func (spec SessionSpec) DaemonConfig() serve.SessionConfig {
+// SessionConfig is the daemon's create body for load session i of
+// spec's shape: the daemon driver sends it, and both drivers charge
+// its AdmissionCost.
+func (spec SessionSpec) SessionConfig(i int) serve.SessionConfig {
 	return serve.SessionConfig{
+		ID:           loadSessionID(i),
 		Kind:         serve.KindWindowed,
 		Dim:          spec.Dim,
 		K:            spec.K,
 		ChunkPoints:  spec.ChunkPoints,
 		WindowChunks: spec.WindowChunks,
-		Seed:         spec.Seed,
+		Seed:         spec.sessionSeed(i),
 		FsyncEvery:   spec.FsyncEvery,
 	}
+}
+
+// sessionSeed gives each session its own seed stream so N sessions
+// don't run N copies of one RNG.
+func (spec SessionSpec) sessionSeed(i int) uint64 {
+	return spec.Seed + uint64(i)*0x9e3779b97f4a7c15
 }
 
 func (spec SessionSpec) windowedOptions() streamkm.WindowedOptions {
@@ -81,7 +89,7 @@ func (d *EngineDriver) Open(spec SessionSpec, n int) (int, error) {
 	defer d.mu.Unlock()
 	d.spec = spec
 	d.sessions, d.images = nil, nil
-	cost, ok := spec.DaemonConfig().AdmissionCost()
+	cost, ok := spec.SessionConfig(0).AdmissionCost()
 	if !ok {
 		return 0, fmt.Errorf("loadgen: session shape %+v: memory estimate beyond int64", spec)
 	}
@@ -100,11 +108,11 @@ func (d *EngineDriver) Open(spec SessionSpec, n int) (int, error) {
 	return len(d.sessions), nil
 }
 
-// sessionOptions derives per-session options: each session gets its
-// own seed stream so N sessions don't run N copies of one RNG.
+// sessionOptions derives per-session options, with the session's own
+// seed.
 func sessionOptions(spec SessionSpec, session int) streamkm.WindowedOptions {
 	o := spec.windowedOptions()
-	o.Seed = spec.Seed + uint64(session)*0x9e3779b97f4a7c15
+	o.Seed = spec.sessionSeed(session)
 	return o
 }
 

@@ -9,7 +9,7 @@ import "testing"
 // instead of wrapping it into an admissible number.
 func TestEngineDriverChargesDaemonEstimate(t *testing.T) {
 	spec := SessionSpec{Dim: 3, K: 4, ChunkPoints: 64, WindowChunks: 4, Seed: 1}
-	cost, ok := spec.DaemonConfig().AdmissionCost()
+	cost, ok := spec.SessionConfig(0).AdmissionCost()
 	// chunk buffer 64·3·8 plus W+3 = 7 summaries of 4 centroids at 4·8 bytes
 	if !ok || cost != 64*3*8+7*4*4*8 {
 		t.Fatalf("daemon estimate %d (ok=%t), want %d", cost, ok, 64*3*8+7*4*4*8)
@@ -29,7 +29,7 @@ func TestEngineDriverChargesDaemonEstimate(t *testing.T) {
 
 	huge := spec
 	huge.ChunkPoints = 1 << 60
-	if _, ok := huge.DaemonConfig().AdmissionCost(); ok {
+	if _, ok := huge.SessionConfig(0).AdmissionCost(); ok {
 		t.Fatal("a 2^60-point chunk buffer fits the daemon's int64 estimate")
 	}
 	d := NewEngineDriver(nil)

@@ -132,7 +132,7 @@ func TestEngineScenariosEndToEnd(t *testing.T) {
 	}
 
 	deg := NewEngineDriver(nil)
-	cost, _ := spec.DaemonConfig().AdmissionCost()
+	cost, _ := spec.SessionConfig(0).AdmissionCost()
 	deg.MemoryBudget = 2 * cost
 	dr, err := RunDegradation(deg, c, DegradationOptions{
 		Sessions: 4, BatchPoints: 16,

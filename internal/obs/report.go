@@ -186,8 +186,8 @@ type DegradedReport struct {
 }
 
 // TraceOp is one operator's span aggregate (Registry.TraceSummary),
-// cross-referencing the span timeline: Op matches both the timeline lane and the stage label of
-// the metric families in Metrics.
+// cross-referencing the span timeline: Op matches both the timeline
+// lane and the stage label of the metric families in Metrics.
 type TraceOp struct {
 	Op          string  `json:"op"`
 	Spans       int     `json:"spans"`

@@ -10,9 +10,8 @@ import (
 	"streamkm/internal/dataset"
 	"streamkm/internal/engine"
 	"streamkm/internal/fault"
-	"streamkm/internal/stream"
-
 	"streamkm/internal/obs"
+	"streamkm/internal/stream"
 )
 
 // TestStreamClustererHeapStaysBounded is the memory-bottleneck claim
